@@ -43,7 +43,12 @@ from repro.vm.config import VMConfig
 #: 5: the hostile-guest work grew ``VMStats.resilience()`` (smc/mmu
 #: counters inside every cached summary's ``resilience`` block) and made
 #: superblock digests content-aware; pre-MMU entries must not replay.
-SCHEMA_VERSION = 5
+#: 6: traced VM runs promote hot fragments to the jit (which now emits
+#: trace records inline), so traced summaries' deterministic
+#: ``telemetry`` block carries non-zero ``jit.*`` counters, the
+#: ``jit.code_lines`` histogram and ``jit_promoted`` events that cached
+#: tier-1-only entries lack.
+SCHEMA_VERSION = 6
 
 
 class EvalSpec:
@@ -380,4 +385,9 @@ def _execute_vm(point):
         "telemetry_host": vm.telemetry.host_summary(),
     })
     _run_evals(summary, point, result.trace if needs_trace else [])
+    if needs_trace:
+        # The VM is cyclic garbage (translation-cache callbacks and jit
+        # namespaces point back into it), so its trace would otherwise
+        # stay resident until the next full collection.
+        result.trace.clear()
     return summary

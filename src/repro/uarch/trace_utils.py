@@ -49,20 +49,36 @@ def _is_nop(instr):
     return instr.kind is Kind.LDA and instr.ra == 31
 
 
+#: ``id(instruction) -> (instruction, op_class, srcs, dst, btype,
+#: v_weight)``: the static record fields of each decoded instruction.
+#: Interpreters share their decoded instruction objects process-wide
+#: (:data:`repro.interp.interpreter.DECODE_CACHE`), so a handful of
+#: entries serve every record of every run.  Keying by ``id`` avoids the
+#: instruction's value hash; holding the instruction in the entry keeps
+#: the id from being reused, and the ``is`` check below rejects any
+#: entry left by a different object.
+_STATIC_FIELDS = {}
+
+
+def _static_fields(instr):
+    entry = (instr, _op_class(instr), instr.sources(), instr.dest(),
+             _branch_type(instr), 0 if _is_nop(instr) else 1)
+    _STATIC_FIELDS[id(instr)] = entry
+    return entry
+
+
 def record_for_event(event):
     """Convert one interpreter :class:`ExecEvent` into a trace record."""
     instr = event.instr
-    btype = _branch_type(instr)
+    entry = _STATIC_FIELDS.get(id(instr))
+    if entry is None or entry[0] is not instr:
+        entry = _static_fields(instr)
+    _, op_class, srcs, dst, btype, v_weight = entry
+    taken = event.taken
     return TraceRecord(
-        event.pc, 4, _op_class(instr),
-        srcs=instr.sources(),
-        dst=instr.dest(),
-        btype=btype,
-        taken=event.taken,
-        target=event.next_pc if event.taken else None,
-        mem_addr=event.mem_addr,
-        v_weight=0 if _is_nop(instr) else 1,
-    )
+        event.pc, 4, op_class, srcs, dst, None, False, False, False,
+        btype, taken, event.next_pc if taken else None, None,
+        event.mem_addr, v_weight)
 
 
 def interpreter_trace(program, max_instructions=200_000):

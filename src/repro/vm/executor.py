@@ -406,13 +406,14 @@ class FragmentExecutor:
         """The three-tier ``run`` loop: tier-2 code when a fragment is
         hot, tier-1 step closures otherwise.
 
-        Guards deopt cleanly to tier 1: trace-collecting visits never use
-        generated code (the trace-on closures stay byte-identical to the
-        naive engine), traps surface with the precise body index recorded
-        by the generated guard, and entry/transition CRC verification is
-        identical to ``_run_specialized``.  Statistics are batched inside
-        tier-2 code but exact at every boundary, so the budget check
-        below sees the same ``source_instructions_executed`` deltas.
+        Trace-collecting executors promote too: their generated code
+        appends pre-built trace records inline (see :mod:`repro.vm.jit`),
+        field-identical to the naive engine's.  Traps surface with the
+        precise body index recorded by the generated guard, and
+        entry/transition CRC verification is identical to
+        ``_run_specialized``.  Statistics are batched inside tier-2 code
+        but exact at every boundary, so the budget check below sees the
+        same ``source_instructions_executed`` deltas.
         """
         verify = self.verify
         if verify and not self._integrity_ok(fragment):
@@ -432,12 +433,9 @@ class FragmentExecutor:
             self._note_entry(frag, stats)
 
         while True:
-            jfn = None
-            if not traced:
-                if frag._jit_key == key:
-                    jfn = frag._jit_code
-                if jfn is None and frag.execution_count >= threshold:
-                    jfn = self._jit_for(frag)
+            jfn = frag._jit_code if frag._jit_key == key else None
+            if jfn is None and frag.execution_count >= threshold:
+                jfn = self._jit_for(frag)
             if jfn is not None:
                 try:
                     outcome = jfn(self, regs, state)
@@ -534,55 +532,51 @@ class FragmentExecutor:
         elif iop is IOp.STORE:
             self._do_store(instr, regs, fmt)
         elif iop is IOp.COPY_TO_GPR:
-            self._trace_simple(instr, "int", dst=instr.gpr, acc=instr.acc,
-                               acc_read=True)
+            self._trace_static(instr)
             self._write_gpr(regs, instr.gpr, self.accs[instr.acc])
         elif iop is IOp.COPY_FROM_GPR:
-            self._trace_simple(instr, "int", srcs=(instr.gpr,),
-                               acc=instr.acc)
+            self._trace_static(instr)
             self.accs[instr.acc] = self._read_gpr(regs, instr.gpr, fmt)
         elif iop is IOp.BRANCH:
             return self._do_branch(instr, regs, fmt)
         elif iop is IOp.BR:
-            self._trace_control(instr, "uncond", True, instr.target)
+            self._trace_static(instr)
             return self._transfer(instr.target)
         elif iop is IOp.SET_VPC_BASE:
-            self._trace_simple(instr, "int")
+            self._trace_static(instr)
         elif iop is IOp.SAVE_VRA:
-            self._trace_simple(instr, "int", dst=instr.gpr)
+            self._trace_static(instr)
             self._write_gpr(regs, instr.gpr, instr.vtarget)
         elif iop is IOp.PUSH_RAS:
-            self._trace_simple(instr, "int")
+            self._trace_static(instr)
             self._push_ras(instr)
         elif iop is IOp.RET_RAS:
             return self._do_ret_ras(instr, regs, fmt)
         elif iop is IOp.LOAD_EMB:
-            self._trace_simple(instr, "int", acc=instr.acc)
+            self._trace_static(instr)
             self.accs[instr.acc] = instr.vtarget
         elif iop is IOp.CALL_TRANSLATOR:
-            self._trace_control(instr, "uncond", True, None)
+            self._trace_static(instr)
             return ("exit", ExecResult(ExitReason.UNTRANSLATED,
                                        vpc=instr.vtarget))
         elif iop is IOp.COND_CALL_TRANSLATOR:
             value = self._operand(instr, instr.cond_src, regs, fmt)
             taken = icond_taken(instr.op, value)
-            self._trace_control(instr, "cond", taken, None,
-                                srcs=self._cond_srcs(instr),
-                                acc=instr.acc if instr.cond_src == "acc"
-                                else None)
+            if self.trace is not None:
+                self.trace.append(cond_record(instr, taken, None))
             if taken:
                 return ("exit", ExecResult(ExitReason.UNTRANSLATED,
                                            vpc=instr.vtarget))
         elif iop is IOp.TO_DISPATCH:
             return self._do_dispatch(instr, regs, fmt)
         elif iop is IOp.HALT:
-            self._trace_simple(instr, "int")
+            self._trace_static(instr)
             return ("exit", ExecResult(ExitReason.HALT, vpc=instr.vpc))
         elif iop is IOp.PUTC:
-            self._trace_simple(instr, "int", srcs=(16,))
+            self._trace_static(instr)
             self.console.append(self._read_gpr(regs, 16, fmt) & 0xFF)
         elif iop is IOp.SYSCALL:
-            self._trace_simple(instr, "int", srcs=(16,))
+            self._trace_static(instr)
             self.pal.call(regs, instr.imm, instr.vpc, translated=True)
         elif iop is IOp.GENTRAP:
             raise Trap(TrapKind.GENTRAP, vpc=instr.vpc)
@@ -603,13 +597,7 @@ class FragmentExecutor:
         else:
             result = IALU_OPS[op](a, b)
         if self.trace is not None:
-            srcs = self._alu_srcs(instr)
-            if is_cmov and instr.dest_gpr is not None:
-                srcs += (instr.dest_gpr,)
-            self._trace_simple(instr, "mul" if op in _MUL_OPS else "int",
-                               srcs=srcs, dst=instr.gpr_dest(fmt),
-                               acc=instr.acc, acc_read=instr.src_a == "acc"
-                               or instr.src_b == "acc")
+            self.trace.append(alu_record(instr, fmt))
         self._commit_result(instr, result, regs, fmt)
 
     def _commit_result(self, instr, result, regs, fmt):
@@ -630,10 +618,7 @@ class FragmentExecutor:
         raw = self.memory.load(address, instr.mem_size, vpc=instr.vpc)
         value = sext(raw, 8 * instr.mem_size) if instr.mem_signed else raw
         if self.trace is not None:
-            self._trace_simple(instr, "load", srcs=self._addr_srcs(instr),
-                               dst=instr.gpr_dest(fmt), acc=instr.acc,
-                               acc_read=instr.addr_src == "acc",
-                               mem_addr=address)
+            self.trace.append(load_record(instr, fmt, address))
         self._commit_result(instr, value, regs, fmt)
 
     def _do_store(self, instr, regs, fmt):
@@ -641,10 +626,7 @@ class FragmentExecutor:
         address = (base + instr.imm) & MASK64
         data = self._operand(instr, instr.data_src, regs, fmt)
         if self.trace is not None:
-            self._trace_simple(instr, "store", srcs=self._store_srcs(instr),
-                               acc=instr.acc,
-                               acc_read=instr.addr_src == "acc"
-                               or instr.data_src == "acc", mem_addr=address)
+            self.trace.append(store_record(instr, address))
         self.memory.store(address, data & MASK64, instr.mem_size,
                           vpc=instr.vpc)
 
@@ -660,11 +642,9 @@ class FragmentExecutor:
     def _do_branch(self, instr, regs, fmt):
         value = self._operand(instr, instr.cond_src, regs, fmt)
         taken = icond_taken(instr.op, value)
-        self._trace_control(instr, "cond", taken,
-                            instr.target if taken else None,
-                            srcs=self._cond_srcs(instr),
-                            acc=instr.acc if instr.cond_src == "acc"
-                            else None)
+        if self.trace is not None:
+            self.trace.append(cond_record(instr, taken,
+                                          instr.target if taken else None))
         if taken:
             return self._transfer(instr.target)
         return None
@@ -731,46 +711,116 @@ class FragmentExecutor:
 
     # -- trace helpers -----------------------------------------------------------
 
-    def _alu_srcs(self, instr):
-        srcs = []
-        for source in (instr.src_a, instr.src_b):
-            if source == "gpr":
-                srcs.append(instr.gpr)
-            elif source == "gpr2":
-                srcs.append(instr.gpr2)
-        return tuple(srcs)
-
-    def _addr_srcs(self, instr):
-        return (instr.gpr,) if instr.addr_src == "gpr" else ()
-
-    def _store_srcs(self, instr):
-        srcs = []
-        if instr.addr_src == "gpr":
-            srcs.append(instr.gpr)
-        if instr.data_src == "gpr":
-            srcs.append(instr.gpr)
-        elif instr.data_src == "gpr2":
-            srcs.append(instr.gpr2)
-        return tuple(srcs)
-
-    def _cond_srcs(self, instr):
-        return (instr.gpr,) if instr.cond_src == "gpr" else ()
-
-    def _trace_simple(self, instr, op_class, srcs=(), dst=None, acc=None,
-                      acc_read=False, mem_addr=None):
-        if self.trace is None:
-            return
-        self.trace.append(TraceRecord(
-            instr.address, instr.size, op_class, srcs=srcs, dst=dst,
-            acc=acc if acc is not None else instr.acc, acc_read=acc_read,
-            acc_write=instr.writes_acc(), strand_start=instr.strand_start,
-            mem_addr=mem_addr, v_weight=instr.v_weight))
+    def _trace_static(self, instr):
+        if self.trace is not None:
+            self.trace.append(STATIC_RECORDS[instr.iop](instr))
 
     def _trace_control(self, instr, btype, taken, target, srcs=(),
                        acc=None, ras_hit=None):
         if self.trace is None:
             return
-        self.trace.append(TraceRecord(
-            instr.address, instr.size, "branch", srcs=srcs, acc=acc,
-            btype=btype, taken=taken, target=target, ras_hit=ras_hit,
-            v_weight=instr.v_weight))
+        self.trace.append(control_record(instr, btype, taken, target, srcs,
+                                         acc, ras_hit))
+
+
+# -- trace records ---------------------------------------------------------------
+#
+# The record an I-instruction commits is a pure function of the
+# instruction plus its dynamic fields (``mem_addr``, ``taken``,
+# ``target``).  The naive engine builds one per committed instruction;
+# the jit (:mod:`repro.vm.jit`) builds the static ones once per compiled
+# fragment and appends the same object on every visit, so consumers must
+# treat records as immutable.
+
+def simple_record(instr, op_class, srcs=(), dst=None, acc=None,
+                  acc_read=False, mem_addr=None):
+    """Record of a non-control instruction (``acc`` defaults to its own)."""
+    return TraceRecord(
+        instr.address, instr.size, op_class, srcs=srcs, dst=dst,
+        acc=acc if acc is not None else instr.acc, acc_read=acc_read,
+        acc_write=instr.writes_acc(), strand_start=instr.strand_start,
+        mem_addr=mem_addr, v_weight=instr.v_weight)
+
+
+def control_record(instr, btype, taken, target, srcs=(), acc=None,
+                   ras_hit=None):
+    """Record of a control-transfer instruction."""
+    return TraceRecord(
+        instr.address, instr.size, "branch", srcs=srcs, acc=acc,
+        btype=btype, taken=taken, target=target, ras_hit=ras_hit,
+        v_weight=instr.v_weight)
+
+
+def alu_record(instr, fmt):
+    """ALU record; an ALPHA-format cmov also reads its old destination."""
+    srcs = tuple(instr.gpr if source == "gpr" else instr.gpr2
+                 for source in (instr.src_a, instr.src_b)
+                 if source in ("gpr", "gpr2"))
+    if fmt is IFormat.ALPHA and instr.op in CMOV_CONDITIONS and \
+            instr.dest_gpr is not None:
+        srcs += (instr.dest_gpr,)
+    return simple_record(
+        instr, "mul" if instr.op in _MUL_OPS else "int", srcs=srcs,
+        dst=instr.gpr_dest(fmt), acc=instr.acc,
+        acc_read=instr.src_a == "acc" or instr.src_b == "acc")
+
+
+def load_record(instr, fmt, address):
+    """LOAD record for effective address ``address``."""
+    return simple_record(
+        instr, "load", srcs=(instr.gpr,) if instr.addr_src == "gpr" else (),
+        dst=instr.gpr_dest(fmt), acc=instr.acc,
+        acc_read=instr.addr_src == "acc", mem_addr=address)
+
+
+def store_record(instr, address):
+    """STORE record for effective address ``address``."""
+    srcs = []
+    if instr.addr_src == "gpr":
+        srcs.append(instr.gpr)
+    if instr.data_src == "gpr":
+        srcs.append(instr.gpr)
+    elif instr.data_src == "gpr2":
+        srcs.append(instr.gpr2)
+    return simple_record(
+        instr, "store", srcs=tuple(srcs), acc=instr.acc,
+        acc_read=instr.addr_src == "acc" or instr.data_src == "acc",
+        mem_addr=address)
+
+
+def cond_record(instr, taken, target):
+    """BRANCH / COND_CALL_TRANSLATOR outcome record."""
+    return control_record(
+        instr, "cond", taken, target,
+        srcs=(instr.gpr,) if instr.cond_src == "gpr" else (),
+        acc=instr.acc if instr.cond_src == "acc" else None)
+
+
+def _int_record(instr):
+    return simple_record(instr, "int")
+
+
+def _reads_r16_record(instr):
+    return simple_record(instr, "int", srcs=(16,))
+
+
+#: ``IOp -> builder`` for the instructions whose record has no dynamic
+#: field.  Every one is appended before the instruction's first
+#: (staleness-checked) read, in both engines.
+STATIC_RECORDS = {
+    IOp.COPY_TO_GPR: lambda instr: simple_record(
+        instr, "int", dst=instr.gpr, acc=instr.acc, acc_read=True),
+    IOp.COPY_FROM_GPR: lambda instr: simple_record(
+        instr, "int", srcs=(instr.gpr,), acc=instr.acc),
+    IOp.BR: lambda instr: control_record(instr, "uncond", True,
+                                         instr.target),
+    IOp.SET_VPC_BASE: _int_record,
+    IOp.SAVE_VRA: lambda instr: simple_record(instr, "int", dst=instr.gpr),
+    IOp.PUSH_RAS: _int_record,
+    IOp.LOAD_EMB: lambda instr: simple_record(instr, "int", acc=instr.acc),
+    IOp.CALL_TRANSLATOR: lambda instr: control_record(instr, "uncond", True,
+                                                      None),
+    IOp.HALT: _int_record,
+    IOp.PUTC: _reads_r16_record,
+    IOp.SYSCALL: _reads_r16_record,
+}

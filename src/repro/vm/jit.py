@@ -35,20 +35,45 @@ Exactness guarantees (the engine-differential suites assert full
   tier 1 would perform at run time; valid fragments carry no tracking
   code at all.
 
+Trace collection is instrumented *inside* the generated code (the
+Valgrind/balayette model): when the executor collects a trace, each
+instruction's :class:`~repro.vm.events.TraceRecord` is appended at the
+point the naive engine appends it, so record order around traps is
+exact — a faulting load records nothing, a store's record precedes the
+access (a trapping or RETRANSLATE-raising store keeps it), and a
+staleness raise records what tier 1 recorded before its failing read.
+
+* records whose fields are all static (ALU, plus the copies, V-PC/RAS
+  bookkeeping ops, unconditional exits and PUTC/SYSCALL of the naive
+  engine's ``STATIC_RECORDS`` table) are built once at compile time and
+  appended as one shared object on every visit;
+* BRANCH and COND_CALL_TRANSLATOR get a taken and a not-taken record;
+* loads and stores construct their record at run time from a
+  ``partial`` holding every field but ``mem_addr``;
+* RET_RAS and TO_DISPATCH go through the executor helpers, which trace.
+
+Records and ``partial``s enter through the exec namespace, never the
+source text, so traced sources still share :data:`_CODE_CACHE` entries
+across executors; an untraced executor emits no trace code at all.
+
 Deoptimisation back to tier 1 is handled by the caller
-(``FragmentExecutor._run_jit``): trace-on visits never use tier-2 code,
-traps surface as precise ``ExecResult`` records, and chaining patches,
-corruption recovery and cache flushes drop compiled functions through
-``Fragment.invalidate_compiled`` exactly like the tier-1 closures.
+(``FragmentExecutor._run_jit``): traps surface as precise ``ExecResult``
+records, and chaining patches, corruption recovery and cache flushes
+drop compiled functions through ``Fragment.invalidate_compiled`` exactly
+like the tier-1 closures.
 """
+
+from functools import partial
 
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.semantics import IALU_OPS
 from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
 from repro.memory.image import PAGE_MASK, PAGE_SHIFT
 from repro.utils.bitops import MASK64, sext
+from repro.vm.events import TraceRecord
 from repro.vm.executor import _ALPHA_WEIGHTS, ExecResult, ExitReason, \
-    StalenessError
+    STATIC_RECORDS, StalenessError, alu_record, cond_record, load_record, \
+    store_record
 from repro.vm.specialize import _resolve_goto
 
 _ZERO_REG = 31
@@ -115,6 +140,7 @@ class _Emitter:
         self.alpha = self.fmt is IFormat.ALPHA
         self.track = (self.fmt is IFormat.MODIFIED
                       and ex.config.strict_modified)
+        self.traced = ex.trace is not None
         self.fname = f"_jit_f{fragment.fid}"
         self.lines = []
         self.ns = {
@@ -176,6 +202,32 @@ class _Emitter:
             self.pending_v = 0
             self.pending_copies = 0
             self.pending_iops = {}
+
+    def record(self, name, build, *args, depth=1):
+        """Append the record ``build(*args)``, built once now.
+
+        Traced executors only.  The record object is bound in the
+        namespace, never spelled out in the source, so the code cache
+        still hits across executors.
+        """
+        if self.traced:
+            record = self.bind(name, build(*args))
+            self.emit(f"_tr_append({record})", depth)
+
+    def mem_record(self, index, build, *args, depth):
+        """Append a load/store record whose ``mem_addr`` is ``_a``.
+
+        Every other field is static: a ``partial`` pre-binds them
+        positionally, so the run-time cost is one constructor call.
+        """
+        if not self.traced:
+            return
+        t = build(*args, None)
+        maker = self.bind(f"_trm{index}", partial(
+            TraceRecord, t.address, t.size, t.op_class, t.srcs, t.dst,
+            t.acc, t.acc_read, t.acc_write, t.strand_start, t.btype,
+            t.taken, t.target, t.ras_hit))
+        self.emit(f"_tr_append({maker}(_a, {t.v_weight!r}))", depth)
 
     def check_gpr(self, index):
         """Compile-time equivalent of the runtime staleness assertion."""
@@ -250,8 +302,13 @@ class _Emitter:
 
     def emit_instr(self, index, instr):
         iop = instr.iop
+        name = f"_tr{index}"
+        if iop in STATIC_RECORDS:
+            # as in tier 1, the record precedes the instruction's first
+            # (staleness-checked) read
+            self.record(name, STATIC_RECORDS[iop], instr)
         if iop is IOp.ALU:
-            self._emit_alu(instr)
+            self._emit_alu(index, instr)
         elif iop is IOp.LOAD:
             self._emit_load(index, instr)
         elif iop is IOp.STORE:
@@ -272,7 +329,10 @@ class _Emitter:
             self.flush()
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
+            self.record(f"_trT{index}", cond_record, instr, True,
+                        instr.target, depth=2)
             self.emit(f"return {goto}", 2)
+            self.record(name, cond_record, instr, False, None)
         elif iop is IOp.BR:
             goto = self.bind(f"_g{index}",
                              _resolve_goto(self.ex.tcache, instr.target))
@@ -293,9 +353,18 @@ class _Emitter:
             self.emit(f"_ras.append(({instr.vtarget!r}, {target!r}))")
             self.emit(f"if len(_ras) > {self.ex.config.ras_depth}:")
             self.emit("_ras.pop(0)", 2)
+        elif iop is IOp.RET_RAS and self.traced:
+            # the executor helper builds the dynamic ``ret`` record
+            self.check_gpr(instr.gpr)
+            ref = self.bind(f"_i{index}", instr)
+            self.bind("_FMT", self.fmt)
+            self.flush()
+            self.emit(f"_o = ex._do_ret_ras({ref}, regs, _FMT)")
+            self.emit("if _o is not None:")
+            self.emit("return _o", 2)
         elif iop is IOp.RET_RAS:
-            # Inlined ``_do_ret_ras`` fast path: trace is always off in
-            # tier-2 code, so the helper reduces to pop-compare-count.
+            # Inlined ``_do_ret_ras`` fast path: without a trace the
+            # helper reduces to pop-compare-count.
             self.check_gpr(instr.gpr)
             self.bind("_frag_at", self.ex.tcache.fragment_at)
             self.bind("_count_ras", self.ex.stats.count_ras)
@@ -326,7 +395,10 @@ class _Emitter:
             self.flush()
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
+            self.record(f"_trT{index}", cond_record, instr, True, None,
+                        depth=2)
             self.emit(f"return {exit_}", 2)
+            self.record(name, cond_record, instr, False, None)
         elif iop is IOp.TO_DISPATCH:
             self.check_gpr(instr.gpr)
             ref = self.bind(f"_i{index}", instr)
@@ -367,10 +439,11 @@ class _Emitter:
         elif instr.cond_src == "gpr2":
             self.check_gpr(instr.gpr2)
 
-    def _emit_alu(self, instr):
+    def _emit_alu(self, index, instr):
         op = instr.op
         a, _ = self.operand(instr, instr.src_a)
         b, _ = self.operand(instr, instr.src_b)
+        self.record(f"_tr{index}", alu_record, instr, self.fmt)
         if self.alpha and op in CMOV_CONDITIONS:
             cond = self.bind(f"_cmov_{op}", CMOV_CONDITIONS[op])
             old = (f"regs[{instr.dest_gpr}]"
@@ -408,10 +481,11 @@ class _Emitter:
         statically dead here.
         """
         size = instr.mem_size
+        address = self.address_expr(instr)
         self.bind("_rdget", self.ex.memory._read_ok.get)
         self.bind("_mld", self.ex.memory.load)
         self.emit("try:")
-        self.emit(f"_a = {self.address_expr(instr)}", 2)
+        self.emit(f"_a = {address}", 2)
         self._emit_alignment_check(instr, size)
         self.emit(f"_p = _rdget(_a >> {PAGE_SHIFT})", 2)
         self.emit("if _p is None:", 2)
@@ -425,6 +499,8 @@ class _Emitter:
             self.emit(f"_r = _from_bytes(_p[_o:_o + {size}], "
                       f"\"little\")", 3)
         self.pei_handler(index)
+        # a faulting load commits nothing, so it records nothing
+        self.mem_record(index, load_record, instr, self.fmt, depth=1)
         if instr.mem_signed:
             self.emit(f"_r = _sext(_r, {8 * size})")
         # memory values (and their sign extensions) are < 2**64 already
@@ -442,6 +518,7 @@ class _Emitter:
         so misses delegate to it wholesale.
         """
         size = instr.mem_size
+        address = self.address_expr(instr)
         data, masked = self.operand(instr, instr.data_src)
         # Memory.store keeps the low ``size`` bytes; for 8-byte stores
         # that is MASK64, which ``masked`` operands already satisfy.
@@ -450,7 +527,10 @@ class _Emitter:
         self.bind("_wrget", self.ex.memory._write_ok.get)
         self.bind("_mst", self.ex.memory.store)
         self.emit("try:")
-        self.emit(f"_a = {self.address_expr(instr)}", 2)
+        self.emit(f"_a = {address}", 2)
+        # recorded before the store, so a trapping store (including an
+        # SMC RETRANSLATE or a misaligned address) keeps its record
+        self.mem_record(index, store_record, instr, depth=2)
         self._emit_alignment_check(instr, size)
         self.emit(f"_p = _wrget(_a >> {PAGE_SHIFT})", 2)
         self.emit("if _p is None:", 2)
@@ -491,7 +571,8 @@ class _Emitter:
         for name, expr in (("_stats", "ex.stats"),
                            ("_accs", "ex.accs"),
                            ("_con", "ex.console"),
-                           ("_ras", "ex.ras")):
+                           ("_ras", "ex.ras"),
+                           ("_tr_append", "ex.trace.append")):
             if name in body:
                 hoists.append(f"    {name} = {expr}")
         if "_iops" in body:

@@ -33,8 +33,9 @@ These closures are *tier 1* of the execution stack: under the default
 ``jit`` engine, fragments that stay hot past ``VMConfig.jit_threshold``
 are re-lowered once more by :mod:`repro.vm.jit` into a single generated
 Python function per body (same outcome protocol, same statistics,
-batched), with these closures remaining the fallback for cold
-fragments, trace-on visits, and bodies the jit declines to compile.
+batched; traced executors get trace records appended inline), with
+these closures remaining the fallback for cold fragments and bodies the
+jit declines to compile.
 
 Direct branch targets are pre-resolved to their target fragment at
 compile time: fragment entry addresses are stable for the life of the

@@ -5,19 +5,90 @@ The heavyweight engine-differential guarantees live in
 the fuzz corpus replay; these are the unit-level checks for the tier-2
 machinery itself: promotion policy, generated-source introspection,
 trap deoptimisation with precise state, compile-failure degradation,
-and the invalidation paths (chaining patches, corruption recovery) that
-must discard generated code.
+the invalidation paths (chaining patches, corruption recovery) that
+must discard generated code, and the traced differentials: tier-2 code
+appends trace records inline, field-identical to the naive engine's.
 """
+
+import os
 
 import pytest
 
 import repro.vm.executor as executor_mod
 from repro.asm import assemble
-from repro.ildp_isa.opcodes import IFormat
+from repro.fuzz.corpus import load_corpus, program_from_entry
+from repro.fuzz.oracle import compare_outcomes, oracle_config, \
+    run_vm_outcome
+from repro.harness.runner import run_vm
+from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.isa.semantics import TrapKind
 from repro.vm import CoDesignedVM, VMConfig, VMTrap
+from repro.vm.executor import StalenessError
+from repro.workloads import WORKLOAD_NAMES
 from tests.conftest import ALL_FORMATS, CALL_KERNEL, FIG2_KERNEL
+from tests.test_hostile import _SMC_HOTSTORE as SMC_HOTSTORE
 from tests.test_traps import FAULTING_LOAD, GENTRAP_KERNEL
+
+#: Like ``FAULTING_LOAD``: a hot loop whose store pointer is poisoned
+#: mid-run (cmov, so no side exit), making the store trap inside
+#: tier-2 code.
+_POISONED_STORE = """
+_start: li r1, 90
+        la r2, buf
+        {poison}
+        clr r3
+loop:   addq r3, r1, r4
+        cmpeq r1, 21, r7
+        cmovne r7, r8, r2
+        stq  r4, 0(r2)
+        addq r4, 1, r3
+        subq r1, 1, r1
+        bne  r1, loop
+        call_pal halt
+        .data
+        .align 8
+buf:    .quad 17
+"""
+FAULTING_STORE = _POISONED_STORE.format(poison="li r8, 0x700000")
+MISALIGNED_STORE = _POISONED_STORE.format(poison="la r8, buf\n"
+                                                "        lda r8, 1(r8)")
+
+#: ``tests/test_executor.py``'s staleness kernel: r2 is read through a
+#: GPR later in the loop fragment, so clearing its producer's
+#: operational flag makes strict mode raise mid-fragment (at an ALU).
+STALE_KERNEL = """
+_start: li r1, 90
+loop:   addq r1, 3, r2
+        addq r2, 1, r3
+        addq r3, r2, r4
+        subq r1, 1, r1
+        bne r1, loop
+        call_pal halt
+"""
+
+#: In the modified format the loop's first read of r2 is the
+#: COPY_FROM_GPR feeding the store, and r16 is read only by PUTC: both
+#: record *before* their staleness-checked read.
+STALE_COPY_PUTC_KERNEL = """
+_start: li r1, 60
+        clr r6
+loop:   addq r1, 3, r2
+        mulq r1, r1, r3
+        stq  r2, 0(r30)
+        addq r6, r2, r6
+        and  r3, 0x3f, r16
+        call_pal putc
+        subq r1, 1, r1
+        bne r1, loop
+        call_pal halt
+"""
+
+_CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+CORPUS_ENTRIES = (load_corpus(_CORPUS_DIR)
+                  + load_corpus(os.path.join(_CORPUS_DIR, "hostile")))
+CORPUS_IDS = [f"{'hostile-' if entry.get('hostile') else ''}"
+              f"{entry['seed']:x}-{entry['index']}"
+              for entry in CORPUS_ENTRIES]
 
 
 def _config(engine="jit", fmt=IFormat.MODIFIED, threshold=2, **overrides):
@@ -112,18 +183,153 @@ class TestParity:
         assert jit.state.regs == naive.state.regs
         assert vars(jit.stats) == vars(naive.stats)
 
-    def test_traced_visits_bypass_tier2(self):
-        """Trace-collecting runs must take the tier-1 trace-on closures:
-        the committed trace stays byte-identical to the naive engine and
-        no generated code is ever consulted."""
+    def test_traced_visits_promote(self):
+        """Trace-collecting runs use tier-2 code too: the generated
+        functions append the committed trace inline, record for record
+        identical to the naive engine's."""
         jit = _run(CALL_KERNEL, _config(threshold=1, collect_trace=True))
         naive = _run(CALL_KERNEL, _config(engine="naive",
                                           collect_trace=True))
-        assert not _promoted(jit)
+        assert _promoted(jit), "traced run never reached tier 2"
         assert len(jit.trace) == len(naive.trace)
         for ours, reference in zip(jit.trace, naive.trace):
             assert {s: getattr(ours, s) for s in ours.__slots__} == \
                 {s: getattr(reference, s) for s in reference.__slots__}
+
+    def test_untraced_source_has_no_trace_code(self):
+        vm = _run(CALL_KERNEL, _config(threshold=1))
+        for fragment in _promoted(vm):
+            source = fragment._jit_code._jit_source
+            assert "_tr" not in source and "trace" not in source, source
+
+    def test_traced_source_shares_the_code_cache(self):
+        """Record templates enter through the exec namespace, so two
+        traced runs of one program compile identical source."""
+        first = _run(CALL_KERNEL, _config(threshold=1, collect_trace=True))
+        second = _run(CALL_KERNEL, _config(threshold=1,
+                                           collect_trace=True))
+        sources = [{f.fid: f._jit_code._jit_source for f in _promoted(vm)}
+                   for vm in (first, second)]
+        assert sources[0] == sources[1]
+        assert any("_tr_append(" in text for text in sources[0].values())
+
+
+def _fields(record):
+    return tuple(getattr(record, slot) for slot in record.__slots__)
+
+
+def _assert_same_trace(ours, reference):
+    assert len(ours) == len(reference)
+    for index, (mine, theirs) in enumerate(zip(ours, reference)):
+        assert _fields(mine) == _fields(theirs), (index, mine, theirs)
+
+
+class TestTracedParity:
+    """Traced naive-vs-jit differentials: every committed record, its
+    order, and the statistics must match at ``jit_threshold=1``."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_workloads_match_naive(self, workload, fmt):
+        runs = {engine: run_vm(workload,
+                               _config(engine=engine, fmt=fmt, threshold=1),
+                               budget=10_000, collect_trace=True)
+                for engine in ("naive", "jit")}
+        jit, naive = runs["jit"], runs["naive"]
+        assert _promoted(jit.vm), "tier-2 code never ran"
+        _assert_same_trace(jit.trace, naive.trace)
+        assert vars(jit.stats) == vars(naive.stats)
+        assert jit.vm.state.regs == naive.vm.state.regs
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("source", (FAULTING_LOAD, FAULTING_STORE,
+                                        MISALIGNED_STORE, GENTRAP_KERNEL),
+                             ids=("load", "store", "unaligned", "gentrap"))
+    def test_trap_kernels_match_naive(self, source, fmt):
+        """A faulting load records nothing; a faulting store keeps its
+        record (it precedes the access); GENTRAP records nothing."""
+        jit_trap, jit_vm = _run_trap(
+            source, _config(fmt=fmt, threshold=1, collect_trace=True,
+                            telemetry=True))
+        ref_trap, ref_vm = _run_trap(
+            source, _config(engine="naive", fmt=fmt, collect_trace=True))
+        assert _promoted(jit_vm), "trap never reached tier-2 code"
+        if source is not GENTRAP_KERNEL:
+            counters = jit_vm.telemetry.summary()["counters"]
+            assert counters["jit.deopts"] == 1, "trap was not in tier 2"
+        assert jit_trap.trap.kind is ref_trap.trap.kind
+        assert jit_trap.trap.vpc == ref_trap.trap.vpc
+        _assert_same_trace(jit_vm.trace, ref_vm.trace)
+        assert vars(jit_vm.stats) == vars(ref_vm.stats)
+
+    @pytest.mark.parametrize("source, gpr, reader", (
+        (STALE_KERNEL, 2, None),
+        (STALE_COPY_PUTC_KERNEL, 2, IOp.COPY_FROM_GPR),
+        (STALE_COPY_PUTC_KERNEL, 16, IOp.PUTC),
+    ), ids=("alu", "copy_from_gpr", "putc"))
+    def test_staleness_raise_matches_naive(self, source, gpr, reader):
+        """Strict-modified staleness under the trace (the sabotage of
+        ``test_executor.py``): the jit's compile-time raise leaves
+        exactly the naive engine's records, including the record a
+        COPY_FROM_GPR or PUTC commits before its failing read."""
+        traces = {}
+        for engine in ("naive", "jit"):
+            config = _config(engine=engine, threshold=1,
+                             strict_modified=True, collect_trace=True)
+            vm = _run(source, config, budget=2_000)
+            fragment = vm.tcache.fragments[0]
+            sabotaged = [instr for instr in fragment.body
+                         if instr.dest_gpr == gpr and instr.operational]
+            assert sabotaged, f"kernel did not produce an operational r{gpr}"
+            for instr in sabotaged:
+                instr.operational = False
+            rerun = CoDesignedVM(assemble(source), config)
+            rerun.tcache = rerun.executor.tcache = vm.tcache
+            with pytest.raises(StalenessError):
+                rerun.run(max_v_instructions=50_000)
+            if engine == "jit":
+                assert _promoted(rerun), "stale body never reached tier 2"
+            traces[engine] = rerun.trace
+        assert traces["naive"], "no record before the stale read"
+        if reader is not None:
+            readers = [instr.address for instr in fragment.body
+                       if instr.iop is reader]
+            assert traces["naive"][-1].address in readers, \
+                f"the stale read was not at a {reader.name}"
+        _assert_same_trace(traces["jit"], traces["naive"])
+
+    @pytest.mark.parametrize("entry", CORPUS_ENTRIES, ids=CORPUS_IDS)
+    def test_corpus_matches_naive(self, entry):
+        """Fuzz and hostile corpora (SMC, protection flips, syscalls),
+        traced, at the oracle's low promotion threshold."""
+        fprog = program_from_entry(entry, shrunk=True)
+        runs = {}
+        for engine in ("naive", "jit"):
+            config = oracle_config(exec_engine=engine).copy(
+                collect_trace=True)
+            runs[engine] = run_vm_outcome(fprog, config)
+        (jit_outcome, jit_vm), (ref_outcome, ref_vm) = \
+            runs["jit"], runs["naive"]
+        assert compare_outcomes(ref_outcome, jit_outcome) in (None, [])
+        _assert_same_trace(jit_vm.trace, ref_vm.trace)
+        assert vars(jit_vm.stats) == vars(ref_vm.stats)
+
+    def test_self_store_deopts_traced_tier2_code(self):
+        """A store into the executing fragment raises RETRANSLATE from
+        tier-2 code mid-fragment; its record must already be in the
+        trace, as in the naive engine."""
+        runs = {}
+        for engine in ("naive", "jit"):
+            config = VMConfig(threshold=4, jit_threshold=1,
+                              exec_engine=engine, collect_trace=True,
+                              telemetry=True)
+            runs[engine] = _run(SMC_HOTSTORE, config, budget=100_000)
+        jit, naive = runs["jit"], runs["naive"]
+        assert jit.halted and naive.halted
+        assert jit.stats.retranslate_deopts >= 1
+        assert jit.telemetry.summary()["counters"]["jit.deopts"] >= 1
+        _assert_same_trace(jit.trace, naive.trace)
+        assert vars(jit.stats) == vars(naive.stats)
 
 
 class TestTrapDeopt:

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.harness.runner import run_original, run_vm
+from repro.harness.runpoints import count_mispredictions
 from repro.uarch.cache import MemoryHierarchy
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import MachineConfig, ildp_config
 from repro.uarch.frontend import FrontEnd
+from repro.uarch.ildp import ILDPModel
 from repro.uarch.predictors import BranchUnit
 from repro.uarch.retire import RetireUnit
+from repro.uarch.superscalar import SuperscalarModel
+from repro.vm.config import VMConfig
 from repro.vm.events import TraceRecord
 
 
@@ -154,3 +159,29 @@ even:   subq r1, 1, r1
         assert exits  # the beq produces one side exit
         for vpc in exits:
             assert vpc != superblock.entry_vpc
+
+
+class TestTraceConsumersAreReadOnly:
+    """The jit appends one shared record object on every visit of a
+    static instruction, and the original path shares per-instruction
+    source tuples, so no consumer may mutate a record."""
+
+    @staticmethod
+    def _snapshot(trace):
+        return [tuple(getattr(record, slot) for slot in record.__slots__)
+                for record in trace]
+
+    @pytest.mark.parametrize("path", ("vm", "original"))
+    def test_models_leave_records_unchanged(self, path):
+        if path == "vm":
+            trace = run_vm("gcc", VMConfig(jit_threshold=1), budget=8_000,
+                           collect_trace=True).trace
+            assert len({id(record) for record in trace}) < len(trace), \
+                "the traced jit run shared no record"
+        else:
+            trace, _interp = run_original("gcc", budget=8_000)
+        before = self._snapshot(trace)
+        ILDPModel(ildp_config(4, 0)).run(trace)
+        SuperscalarModel(MachineConfig("superscalar-ooo")).run(trace)
+        count_mispredictions(trace)
+        assert self._snapshot(trace) == before
