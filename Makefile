@@ -11,7 +11,6 @@ test:
 
 smoke:
 	$(PYTHON) scripts/smoke_cache.py
-	$(PYTHON) scripts/smoke_exec_engine.py
 	$(PYTHON) scripts/smoke_jit.py
 	$(PYTHON) scripts/smoke_telemetry.py
 	$(PYTHON) scripts/smoke_trace.py
@@ -30,7 +29,7 @@ fuzz:
 # syscalls, with the SMC/protect chaos sites layered on top.
 fuzz-hostile:
 	$(PYTHON) -m repro fuzz --count 100 --seed 1 --hostile --chaos \
-		--shrink --engines naive,jit
+		--shrink
 
 # The full differential chaos suite: every workload under every seeded
 # fault schedule must converge to the fault-free interpreter.

@@ -110,12 +110,9 @@ def _shrink_finding(finding, budget):
 
 def run_campaign(count, seed, max_insns=60, chaos=False, shrink=False,
                  workers=1, budget=ORACLE_BUDGET, corpus_dir=None,
-                 telemetry=False, runner=None, engines=None,
-                 hostile=False):
+                 telemetry=False, runner=None, hostile=False):
     """Run ``count`` seeded programs through the oracle stack.
 
-    ``engines`` selects the oracle engine stage's comparison axis
-    (``None`` uses the oracle default, currently naive + jit).
     ``hostile`` generates hostile-guest programs (self-modifying code,
     protection flips, syscalls) instead of tame ones.
     """
@@ -123,8 +120,7 @@ def run_campaign(count, seed, max_insns=60, chaos=False, shrink=False,
         raise ValueError("count must be >= 1")
     points = [RunPoint.fuzz(seed, index, max_insns=max_insns,
                             chaos=chaos, budget=budget,
-                            telemetry=telemetry, engines=engines,
-                            hostile=hostile)
+                            telemetry=telemetry, hostile=hostile)
               for index in range(count)]
     if runner is None:
         runner = PointRunner(workers=workers, cache=None)

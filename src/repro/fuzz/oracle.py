@@ -3,15 +3,12 @@
 Every generated program is judged by agreement between independent
 semantics, never by a hand-written expectation:
 
-* **cosim** — the co-designed VM (specialized interpreter engine) must
-  reproduce the naive pure interpreter bit for bit: final PC, all 32
-  registers, console output, the data buffer, the committed-instruction
-  count, and — on a trap — the trap kind and precise V-PC;
-* **engine** — the VM run again under every other execution engine (the
-  ``engines`` axis, default naive *and* jit) must match the specialized
-  run, including every ``VMStats`` counter (``vars()`` equality); jit
-  runs use a low promotion threshold so tier-2 generated code actually
-  executes on short fuzz loops;
+* **cosim** — the co-designed VM (default jit engine) must reproduce the
+  naive pure interpreter bit for bit: final PC, all 32 registers,
+  console output, the data buffer, the committed-instruction count, and
+  — on a trap — the trap kind and precise V-PC;
+* **engine** — the VM run again under the naive engine must match the
+  jit run, including every ``VMStats`` counter (``vars()`` equality);
 * **chaos** (optional) — the VM under a seeded fault schedule must still
   converge to the fault-free reference.
 
@@ -41,11 +38,6 @@ ORACLE_BUDGET = 200_000
 #: usually the inner ones — actually reach translated code.
 ORACLE_THRESHOLD = 8
 
-#: Jit promotion threshold for oracle runs: fuzz loops are short, so the
-#: default (16) could leave tier-2 code cold; 2 promotes on the second
-#: visit, making the engine stage exercise generated code.
-ORACLE_JIT_THRESHOLD = 2
-
 #: Chaos-stage fault schedule (the same default ``repro chaos`` uses).
 CHAOS_SPEC = ";".join(DEFAULT_CHAOS_SPECS)
 
@@ -57,9 +49,6 @@ CHAOS_SPEC = ";".join(DEFAULT_CHAOS_SPECS)
 HOSTILE_CHAOS_SPEC = ";".join(DEFAULT_CHAOS_SPECS + HOSTILE_CHAOS_SPECS)
 
 STAGES = ("cosim", "engine", "chaos")
-
-#: Engines the engine stage compares against the specialized reference.
-ENGINE_AXIS = ("naive", "jit")
 
 
 class Outcome:
@@ -133,12 +122,11 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
                    trap_kind=trap_kind, trap_vpc=trap_vpc, insns=steps)
 
 
-def oracle_config(exec_engine="specialized", faults=None, fault_seed=0,
+def oracle_config(exec_engine="jit", faults=None, fault_seed=0,
                   telemetry=False, trace=False):
     """The VM configuration oracle stages run under."""
     return VMConfig(threshold=ORACLE_THRESHOLD, collect_trace=False,
-                    exec_engine=exec_engine,
-                    jit_threshold=ORACLE_JIT_THRESHOLD, faults=faults,
+                    exec_engine=exec_engine, faults=faults,
                     fault_seed=fault_seed, telemetry=telemetry,
                     trace=trace)
 
@@ -211,15 +199,12 @@ def compare_outcomes(expected, actual, check_committed=True):
 
 
 def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
-                  chaos_seed=None, engines=ENGINE_AXIS):
+                  chaos_seed=None):
     """Run the oracle stack over one program.
 
-    ``engines`` is the engine stage's comparison axis: each listed
-    engine is run against the specialized reference with full
-    ``VMStats`` equality.  Returns a report dict: ``failures`` is a
-    list of ``{stage, reason}`` records (empty means the program agrees
-    everywhere), ``inconclusive`` lists stages skipped for budget
-    exhaustion.
+    Returns a report dict: ``failures`` is a list of ``{stage, reason}``
+    records (empty means the program agrees everywhere),
+    ``inconclusive`` lists stages skipped for budget exhaustion.
     """
     if stages is None:
         stages = ("cosim", "engine") + (("chaos",) if chaos else ())
@@ -227,13 +212,11 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     inconclusive = []
 
     reference = run_reference(fprog, budget=budget)
-    specialized = None
-    _svm = None
+    jit = jit_vm = None
 
     if "cosim" in stages:
-        specialized, _svm = run_vm_outcome(fprog, oracle_config(),
-                                           budget=budget)
-        reasons = compare_outcomes(reference, specialized)
+        jit, jit_vm = run_vm_outcome(fprog, oracle_config(), budget=budget)
+        reasons = compare_outcomes(reference, jit)
         if reasons is None:
             inconclusive.append("cosim")
         else:
@@ -241,28 +224,21 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
                             for reason in reasons)
 
     if "engine" in stages:
-        if specialized is None:
-            specialized, _svm = run_vm_outcome(fprog, oracle_config(),
-                                               budget=budget)
-        for engine in engines:
-            if engine == "specialized":
-                continue  # comparing the reference with itself
-            other, other_vm = run_vm_outcome(
-                fprog, oracle_config(exec_engine=engine), budget=budget)
-            reasons = compare_outcomes(specialized, other)
-            if reasons is None:
-                if "engine" not in inconclusive:
-                    inconclusive.append("engine")
-                continue
-            failures.extend({"stage": "engine",
-                             "reason": f"[{engine}] {reason}"}
+        if jit is None:
+            jit, jit_vm = run_vm_outcome(fprog, oracle_config(),
+                                         budget=budget)
+        naive, naive_vm = run_vm_outcome(
+            fprog, oracle_config(exec_engine="naive"), budget=budget)
+        reasons = compare_outcomes(jit, naive)
+        if reasons is None:
+            inconclusive.append("engine")
+        else:
+            failures.extend({"stage": "engine", "reason": f"[naive] {reason}"}
                             for reason in reasons)
-            if vars(other_vm.stats) != vars(_svm.stats):
-                diffs = _stats_diff(_svm.stats, other_vm.stats)
-                failures.extend({"stage": "engine",
-                                 "reason": f"stats.{name}: specialized "
-                                           f"{a}, {engine} {b}"}
-                                for name, a, b in diffs)
+            failures.extend({"stage": "engine",
+                             "reason": f"stats.{name}: jit {a}, naive {b}"}
+                            for name, a, b in _stats_diff(jit_vm.stats,
+                                                          naive_vm.stats))
 
     if "chaos" in stages:
         seed = chaos_seed if chaos_seed is not None else \
@@ -310,12 +286,11 @@ def execute_fuzz_point(point):
     from repro.fuzz.gen import generate
 
     fields = dict(point.config)
-    engines = fields.get("engines", ENGINE_AXIS)
     hostile = fields.get("hostile", False)
     fprog = generate(fields["seed"], index=fields["index"],
                      max_insns=fields["max_insns"], hostile=hostile)
     report = check_program(fprog, budget=point.budget,
-                           chaos=fields["chaos"], engines=engines)
+                           chaos=fields["chaos"])
     text = fprog.to_bytes()
     summary = {
         "kind": "fuzz",
@@ -326,7 +301,6 @@ def execute_fuzz_point(point):
         "max_insns": fields["max_insns"],
         "chaos": fields["chaos"],
         "hostile": hostile,
-        "engines": list(engines),
         "budget": point.budget,
         "insns": len(fprog.words),
         "text_sha256": hashlib.sha256(text).hexdigest(),

@@ -35,7 +35,7 @@ from repro.vm.config import VMConfig
 #: 3: VM summaries grew the ``resilience`` block (graceful-degradation
 #: counters), and fault-injection fields joined ``VMConfig`` (excluded
 #: from the key, but the bump guarantees no pre-faults entry survives).
-#: 4: the default execution engine became the tier-2 jit.  Architected
+#: 4: the default execution engine became the jit.  Architected
 #: results and ``VMStats`` are engine-identical (so ``exec_engine`` stays
 #: out of the key), but the deterministic ``telemetry`` block now carries
 #: ``jit.*`` counters and ``jit_promoted`` events that pre-jit cache
@@ -48,7 +48,11 @@ from repro.vm.config import VMConfig
 #: ``telemetry`` block carries non-zero ``jit.*`` counters, the
 #: ``jit.code_lines`` histogram and ``jit_promoted`` events that cached
 #: tier-1-only entries lack.
-SCHEMA_VERSION = 6
+#: 7: the tier-1 closure engine is gone and the jit compiles every
+#: fragment on its first entry, so the ``jit.*`` counters, the
+#: ``jit.code_lines`` histogram and the ``jit_promoted`` events of every
+#: VM summary count all executed fragments, not only hot ones.
+SCHEMA_VERSION = 7
 
 
 class EvalSpec:
@@ -140,8 +144,7 @@ class RunPoint:
 
     @classmethod
     def fuzz(cls, seed, index, max_insns=60, chaos=False,
-             budget=200_000, telemetry=False, engines=None,
-             hostile=False):
+             budget=200_000, telemetry=False, hostile=False):
         """One generated-program oracle run (see :mod:`repro.fuzz`).
 
         ``config`` reuses the sorted-pair convention but carries the
@@ -149,16 +152,12 @@ class RunPoint:
         generator version keys the cache so corpus-affecting generator
         changes can never replay stale summaries.  The kind's key space
         is disjoint from ``"vm"``/``"original"``, so no schema bump is
-        needed.  ``engines`` is the oracle engine stage's comparison
-        axis (``None`` selects the oracle's default).
+        needed.
         """
         from repro.fuzz.gen import GENERATOR_VERSION
-        from repro.fuzz.oracle import ENGINE_AXIS
 
-        engines = tuple(engines) if engines is not None else ENGINE_AXIS
-        fields = (("chaos", bool(chaos)), ("engines", engines),
-                  ("hostile", bool(hostile)), ("index", index),
-                  ("max_insns", max_insns), ("seed", seed),
+        fields = (("chaos", bool(chaos)), ("hostile", bool(hostile)),
+                  ("index", index), ("max_insns", max_insns), ("seed", seed),
                   ("telemetry", bool(telemetry)),
                   ("version", GENERATOR_VERSION))
         return cls("fuzz", f"fuzz[{seed}/{index}]", None, budget, fields,

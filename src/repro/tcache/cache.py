@@ -78,7 +78,7 @@ class TranslationCache:
         self.patches_applied = 0
         self._next_fid = 0
         self.flush_count = 0
-        #: cumulative compiled-closure invalidations caused by in-place
+        #: cumulative generated-code invalidations caused by in-place
         #: chaining patches (never reset — like fragment ids, statistics
         #: keyed on it must survive flushes)
         self.invalidations = 0
@@ -347,7 +347,7 @@ class TranslationCache:
             events.emit(EventKind.FRAGMENT_CHAINED, fid=fragment.fid,
                         to_fid=new_fragment.fid, vtarget=vpc,
                         instr_index=exit_record.instr_index)
-            # the in-place binary patch invalidates any compiled closures
+            # the in-place binary patch invalidates any generated code
             self._invalidate(fragment, clean)
         for fragment, index in self._pending_ras.pop(vpc, []):
             clean = self._is_clean(fragment)
@@ -371,7 +371,7 @@ class TranslationCache:
         return fragment.compute_checksum() == fragment.checksum
 
     def _invalidate(self, fragment, clean=True):
-        """Drop a fragment's compiled closures after an in-place patch."""
+        """Drop a fragment's generated code after an in-place patch."""
         fragment.invalidate_compiled()
         if self.verify:
             if clean:

@@ -7,7 +7,7 @@ following the interpreted path once a trace-start candidate becomes hot
 
 import enum
 
-from repro.isa.opcodes import Kind
+from repro.isa.opcodes import Format, Kind
 
 
 class EndReason(enum.Enum):
@@ -92,14 +92,10 @@ class Superblock:
 
 
 def _is_nop(instr):
-    """Architectural no-ops: operates writing R31 and BR-to-next quirks."""
-    from repro.isa.opcodes import Format
-
+    """Architectural no-ops: operates and LDAs writing R31."""
     if instr.fmt is Format.OPERATE and instr.rc == 31:
         return True
-    if instr.kind is Kind.LDA and instr.ra == 31:
-        return True
-    return False
+    return instr.kind is Kind.LDA and instr.ra == 31
 
 
 def elided_by_translation(instr):

@@ -9,7 +9,8 @@ BSR/JSR/RET).
 """
 
 from repro.interp.interpreter import Halted, Interpreter
-from repro.isa.opcodes import Format, Kind
+from repro.isa.opcodes import Kind
+from repro.translator.superblock import _is_nop
 from repro.vm.events import TraceRecord
 
 _MUL_MNEMONICS = frozenset({"mull", "mulq", "umulh"})
@@ -41,12 +42,6 @@ def _op_class(instr):
     if instr.mnemonic in _MUL_MNEMONICS:
         return "mul"
     return "int"
-
-
-def _is_nop(instr):
-    if instr.fmt is Format.OPERATE and instr.rc == 31:
-        return True
-    return instr.kind is Kind.LDA and instr.ra == 31
 
 
 #: ``id(instruction) -> (instruction, op_class, srcs, dst, btype,

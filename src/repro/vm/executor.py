@@ -37,15 +37,12 @@ _ALPHA_WEIGHTS = {
 
 _MUL_OPS = frozenset({"mull", "mulq", "umulh"})
 
-#: Serial numbers identifying which executor a fragment's compiled closure
-#: lists belong to (see ``FragmentExecutor._code_for``).
+#: Serial numbers identifying which executor a fragment's generated code
+#: belongs to (see ``FragmentExecutor._jit_for``).
 _EXECUTOR_SERIALS = itertools.count()
 
-#: Lazily bound ``repro.vm.specialize.compile_fragment`` (that module
+#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` (that module
 #: imports this one, so it cannot be imported at the top).
-_compile_fragment = None
-
-#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` (same import cycle).
 _compile_fragment_jit = None
 
 #: jit code-size histogram buckets (generated source lines per fragment).
@@ -105,12 +102,15 @@ class FragmentExecutor:
         self.ras = []
         #: modified-format staleness tracking (strict mode)
         self._stale = set()
-        #: identity under which fragments cache compiled closures for us
+        #: identity under which fragments cache generated code for us
         self._compile_key = next(_EXECUTOR_SERIALS)
-        #: body index of the instruction whose tier-2 guard last raised a
-        #: trap (set by generated code, read by ``_run_jit`` to build the
-        #: precise ``ExecResult``)
-        self._jit_pei = None
+        #: body index of the instruction that last raised a trap (set by
+        #: generated code and by ``_run_body``, read by ``run`` to build
+        #: the precise ``ExecResult``)
+        self._trap_index = None
+        #: ``(dispatch body, shared lookup records)``, built on the first
+        #: traced dispatch (see ``_emit_dispatch_trace``)
+        self._dispatch_records = None
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         # Telemetry hooks are pre-resolved to None when disabled so the
@@ -180,57 +180,52 @@ class FragmentExecutor:
         register list is the GPR file (operational + architected in one,
         with staleness assertions for the modified format).
 
-        ``VMConfig.exec_engine`` selects how fragment bodies run: the jit
-        engine (default) promotes hot fragments to tier-2 generated
-        source (see :mod:`repro.vm.jit`) over the specialized engine's
-        pre-compiled step closures (:mod:`repro.vm.specialize`); the
-        naive engine is the readable per-instruction dispatch below.
-        All are observationally identical.
+        Under the ``jit`` engine (the default) each fragment is compiled
+        to generated Python source on its first entry (see
+        :mod:`repro.vm.jit`) and every visit calls that function; the
+        ``naive`` engine, and any fragment whose compile failed, runs the
+        readable per-instruction body instead (:meth:`_run_body`).  Both
+        return the same outcomes and leave identical statistics at every
+        fragment boundary, so the transition steps below — staleness
+        reset, CRC verify, budget check, profiler switch — are shared.
         """
-        engine = self.config.exec_engine
-        if engine == "jit":
-            return self._run_jit(fragment, state, max_instructions)
-        if engine == "specialized":
-            return self._run_specialized(fragment, state, max_instructions)
         if self.verify and not self._integrity_ok(fragment):
             return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
                               fragment=fragment)
         regs = state.regs
+        stats = self.stats
+        jit = self.config.exec_engine == "jit"
+        key = self._compile_key
         self._stale.clear()
         frag = fragment
         frag.execution_count += 1
-        index = 0
-        executed_v = 0
-        stats = self.stats
+        start_v = stats.source_instructions_executed
         prof = self._prof
         if prof is not None:
             self._note_entry(frag, stats)
 
         while True:
-            instr = frag.body[index]
-            fmt = frag.fmt
-            executed_v += instr.v_weight
-            stats.count_iinstr(instr, fmt,
-                               _ALPHA_WEIGHTS.get(instr.iop, 1)
-                               if fmt is IFormat.ALPHA else 1)
-            iop = instr.iop
-
+            fn = None
+            if jit:
+                fn = frag._jit_code if frag._jit_key == key else None
+                if fn is None:
+                    fn = self._jit_for(frag)
             try:
-                outcome = self._execute(instr, iop, frag, index, regs, fmt,
-                                        state)
+                if fn is not None:
+                    outcome = fn(self, regs, state)
+                else:
+                    outcome = self._run_body(frag, regs)
             except Trap as trap:
-                trap.vpc = instr.vpc
+                if fn is not None and self._jit_deopts is not None:
+                    self._jit_deopts.inc()
                 if prof is not None:
                     prof.leave(ExitReason.TRAP.value, stats)
-                return ExecResult(ExitReason.TRAP, vpc=instr.vpc,
-                                  fragment=frag, body_index=index,
+                return ExecResult(ExitReason.TRAP, vpc=trap.vpc,
+                                  fragment=frag, body_index=self._trap_index,
                                   trap=trap)
-            if outcome is None:
-                index += 1
-                continue
             kind, value = outcome
             if kind == "goto":
-                frag, index = value
+                frag = value[0]
                 # A fragment transition is a synchronisation point: the
                 # redirect gives the machine time to make the architected
                 # file visible, so staleness tracking restarts here.  The
@@ -246,98 +241,6 @@ class FragmentExecutor:
                                       vpc=frag.entry_vpc, fragment=frag)
                 # Budget checks happen only at fragment boundaries, where
                 # the architected state is complete (all live-outs copied).
-                if max_instructions is not None and executed_v >= \
-                        max_instructions:
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.BUDGET.value, stats)
-                    return ExecResult(ExitReason.BUDGET,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                frag.execution_count += 1
-                if prof is not None:
-                    self._transfer_counter.inc()
-                    prof.switch(frag, stats)
-            elif kind == "exit":
-                state.pc = value.vpc if value.vpc is not None else state.pc
-                if prof is not None:
-                    prof.leave(value.reason.value, stats)
-                return value
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-
-    # -- specialized engine ------------------------------------------------------
-
-    def _code_for(self, frag, traced):
-        """The fragment's compiled closure list for this executor.
-
-        Compiled code is keyed per executor: closures pre-resolve branch
-        targets through *our* translation cache and reflect *our* config,
-        and a fragment can be handed to a different executor (tests do
-        this after hand-mutating instructions), so a key mismatch simply
-        recompiles.  Chaining patches call ``invalidate_compiled``.
-        """
-        global _compile_fragment
-        if frag._compiled_key != self._compile_key:
-            frag._compiled_key = self._compile_key
-            frag._compiled = [None, None]
-        code = frag._compiled[traced]
-        if code is None:
-            if _compile_fragment is None:
-                from repro.vm.specialize import compile_fragment
-                _compile_fragment = compile_fragment
-            code = _compile_fragment(self, frag, traced)
-            frag._compiled[traced] = code
-        return code
-
-    def _run_specialized(self, fragment, state, max_instructions=None):
-        """The ``run`` loop over pre-compiled step closures.
-
-        Per-instruction statistics live inside the closures; the V-ISA
-        budget is charged from the ``source_instructions_executed`` delta,
-        which the closures advance exactly as the naive loop's local
-        counter would.
-        """
-        if self.verify and not self._integrity_ok(fragment):
-            return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
-                              fragment=fragment)
-        regs = state.regs
-        stats = self.stats
-        traced = self.trace is not None
-        self._stale.clear()
-        frag = fragment
-        frag.execution_count += 1
-        code = self._code_for(frag, traced)
-        index = 0
-        start_v = stats.source_instructions_executed
-        prof = self._prof
-        if prof is not None:
-            self._note_entry(frag, stats)
-
-        while True:
-            try:
-                outcome = code[index](self, regs, state)
-            except Trap as trap:
-                vpc = frag.body[index].vpc
-                trap.vpc = vpc
-                if prof is not None:
-                    prof.leave(ExitReason.TRAP.value, stats)
-                return ExecResult(ExitReason.TRAP, vpc=vpc, fragment=frag,
-                                  body_index=index, trap=trap)
-            if outcome is None:
-                index += 1
-                continue
-            kind, value = outcome
-            if kind == "goto":
-                frag, index = value
-                # Fragment transitions restart staleness tracking and are
-                # the only budget checkpoints — see ``run`` for why.
-                self._stale.clear()
-                if self.verify and not self._integrity_ok(frag):
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.CORRUPT.value, stats)
-                    return ExecResult(ExitReason.CORRUPT,
-                                      vpc=frag.entry_vpc, fragment=frag)
                 if max_instructions is not None and \
                         stats.source_instructions_executed - start_v >= \
                         max_instructions:
@@ -350,7 +253,6 @@ class FragmentExecutor:
                 if prof is not None:
                     self._transfer_counter.inc()
                     prof.switch(frag, stats)
-                code = self._code_for(frag, traced)
             elif kind == "exit":
                 state.pc = value.vpc if value.vpc is not None else state.pc
                 if prof is not None:
@@ -359,15 +261,46 @@ class FragmentExecutor:
             else:  # pragma: no cover
                 raise AssertionError(kind)
 
+    def _run_body(self, frag, regs):
+        """Run one fragment body instruction by instruction.
+
+        The reference semantics: returns the body's ``("goto", ...)`` or
+        ``("exit", ...)`` outcome, and on a trap records the precise
+        V-PC and body index before re-raising.
+        """
+        body = frag.body
+        fmt = frag.fmt
+        stats = self.stats
+        alpha = fmt is IFormat.ALPHA
+        index = 0
+        while True:
+            instr = body[index]
+            iop = instr.iop
+            stats.count_iinstr(instr, fmt,
+                               _ALPHA_WEIGHTS.get(iop, 1) if alpha else 1)
+            try:
+                outcome = self._execute(instr, iop, regs, fmt)
+            except Trap as trap:
+                trap.vpc = instr.vpc
+                self._trap_index = index
+                raise
+            if outcome is not None:
+                return outcome
+            index += 1
+
     # -- jit engine --------------------------------------------------------------
 
     def _jit_for(self, frag):
-        """The fragment's tier-2 function for this executor, or ``None``.
+        """Compile the fragment's generated function for this executor.
 
-        Mirrors ``_code_for``'s per-executor keying.  A compile failure
-        pins the fragment to tier 1 (``_jit_failed``) instead of retrying
-        every hot visit; ``Fragment.invalidate_compiled`` clears both the
-        code and the pin, so patched bodies get a fresh chance.
+        Generated code is keyed per executor: it binds *our* translation
+        cache, memory and config, and a fragment can be handed to a
+        different executor (tests do this after hand-mutating
+        instructions), so a key mismatch simply recompiles.  A compile
+        failure pins the fragment to the naive body (``_jit_failed``)
+        and returns ``None`` instead of retrying every visit;
+        ``Fragment.invalidate_compiled`` clears both the code and the
+        pin, so patched bodies get a fresh chance.
         """
         global _compile_fragment_jit
         if frag._jit_key != self._compile_key:
@@ -387,8 +320,8 @@ class FragmentExecutor:
             else:
                 fn = _compile_fragment_jit(self, frag)
         except Exception:
-            # degrade, never die: the fragment keeps running on tier-1
-            # closures, which are semantically complete
+            # degrade, never die: the fragment keeps running on the
+            # naive body, which is semantically complete
             frag._jit_failed = True
             if self._jit_compile_failures is not None:
                 self._jit_compile_failures.inc()
@@ -401,101 +334,6 @@ class FragmentExecutor:
                               entry_vpc=frag.entry_vpc,
                               lines=fn._jit_lines)
         return fn
-
-    def _run_jit(self, fragment, state, max_instructions=None):
-        """The three-tier ``run`` loop: tier-2 code when a fragment is
-        hot, tier-1 step closures otherwise.
-
-        Trace-collecting executors promote too: their generated code
-        appends pre-built trace records inline (see :mod:`repro.vm.jit`),
-        field-identical to the naive engine's.  Traps surface with the
-        precise body index recorded by the generated guard, and
-        entry/transition CRC verification is identical to
-        ``_run_specialized``.  Statistics are batched inside tier-2 code
-        but exact at every boundary, so the budget check below sees the
-        same ``source_instructions_executed`` deltas.
-        """
-        verify = self.verify
-        if verify and not self._integrity_ok(fragment):
-            return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
-                              fragment=fragment)
-        regs = state.regs
-        stats = self.stats
-        traced = self.trace is not None
-        self._stale.clear()
-        frag = fragment
-        frag.execution_count += 1
-        key = self._compile_key
-        threshold = self.config.jit_threshold
-        start_v = stats.source_instructions_executed
-        prof = self._prof
-        if prof is not None:
-            self._note_entry(frag, stats)
-
-        while True:
-            jfn = frag._jit_code if frag._jit_key == key else None
-            if jfn is None and frag.execution_count >= threshold:
-                jfn = self._jit_for(frag)
-            if jfn is not None:
-                try:
-                    outcome = jfn(self, regs, state)
-                except Trap as trap:
-                    if self._jit_deopts is not None:
-                        self._jit_deopts.inc()
-                    if prof is not None:
-                        prof.leave(ExitReason.TRAP.value, stats)
-                    return ExecResult(ExitReason.TRAP, vpc=trap.vpc,
-                                      fragment=frag,
-                                      body_index=self._jit_pei, trap=trap)
-            else:
-                code = self._code_for(frag, traced)
-                index = 0
-                while True:
-                    try:
-                        outcome = code[index](self, regs, state)
-                    except Trap as trap:
-                        vpc = frag.body[index].vpc
-                        trap.vpc = vpc
-                        if prof is not None:
-                            prof.leave(ExitReason.TRAP.value, stats)
-                        return ExecResult(ExitReason.TRAP, vpc=vpc,
-                                          fragment=frag, body_index=index,
-                                          trap=trap)
-                    if outcome is None:
-                        index += 1
-                        continue
-                    break
-            kind, value = outcome
-            if kind == "goto":
-                frag = value[0]
-                # Fragment transitions restart staleness tracking and are
-                # the only budget checkpoints — see ``run`` for why.
-                self._stale.clear()
-                if verify and not self._integrity_ok(frag):
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.CORRUPT.value, stats)
-                    return ExecResult(ExitReason.CORRUPT,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                if max_instructions is not None and \
-                        stats.source_instructions_executed - start_v >= \
-                        max_instructions:
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.BUDGET.value, stats)
-                    return ExecResult(ExitReason.BUDGET,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                frag.execution_count += 1
-                if prof is not None:
-                    self._transfer_counter.inc()
-                    prof.switch(frag, stats)
-            elif kind == "exit":
-                state.pc = value.vpc if value.vpc is not None else state.pc
-                if prof is not None:
-                    prof.leave(value.reason.value, stats)
-                return value
-            else:  # pragma: no cover
-                raise AssertionError(kind)
 
     def _integrity_ok(self, frag):
         """Checksum-verify a fragment, amortised via ``frag.verified``.
@@ -524,7 +362,7 @@ class FragmentExecutor:
 
     # -- single-instruction semantics -------------------------------------------
 
-    def _execute(self, instr, iop, frag, index, regs, fmt, state):
+    def _execute(self, instr, iop, regs, fmt):
         if iop is IOp.ALU:
             self._do_alu(instr, regs, fmt)
         elif iop is IOp.LOAD:
@@ -695,19 +533,24 @@ class FragmentExecutor:
         self.stats.count_dispatch_instructions(len(body))
         if self.trace is None:
             return
-        final_target = (target_fragment.entry_address()
-                        if target_fragment is not None else None)
-        for instr in body:
-            if instr.iop is IOp.JMP_DISPATCH:
-                self.trace.append(TraceRecord(
-                    instr.address, instr.size, "branch", acc=instr.acc,
-                    acc_read=True, btype="indirect", taken=True,
-                    target=final_target, is_dispatch=True))
-            else:
-                op_class = "load" if instr.iop is IOp.LOAD else "int"
-                self.trace.append(TraceRecord(
-                    instr.address, instr.size, op_class, acc=instr.acc,
-                    acc_read=True, acc_write=True, is_dispatch=True))
+        # Only the final indirect jump's record depends on the target;
+        # the lookup records are built once per dispatch body and shared.
+        if self._dispatch_records is None or \
+                self._dispatch_records[0] is not body:
+            self._dispatch_records = (body, [
+                TraceRecord(instr.address, instr.size,
+                            "load" if instr.iop is IOp.LOAD else "int",
+                            acc=instr.acc, acc_read=True, acc_write=True,
+                            is_dispatch=True)
+                for instr in body[:-1]])
+        self.trace.extend(self._dispatch_records[1])
+        jump = body[-1]         # JMP_DISPATCH, the routine's last instruction
+        self.trace.append(TraceRecord(
+            jump.address, jump.size, "branch", acc=jump.acc, acc_read=True,
+            btype="indirect", taken=True,
+            target=(target_fragment.entry_address()
+                    if target_fragment is not None else None),
+            is_dispatch=True))
 
     # -- trace helpers -----------------------------------------------------------
 

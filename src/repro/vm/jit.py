@@ -1,9 +1,9 @@
-"""Tier-2 JIT: lower hot fragments to straight-line Python source.
+"""JIT: lower translated fragments to straight-line Python source.
 
-The closure-specialized engine (:mod:`repro.vm.specialize`) still pays a
-Python call, three statistics increments and an outcome check for every
-executed I-ISA instruction.  This module removes all of that for hot
-fragments: the whole body is emitted as *one* generated Python function —
+The naive executor (``FragmentExecutor._run_body``) pays an if/elif
+dispatch, a statistics call and an outcome check for every executed
+I-ISA instruction.  This module removes all of that: on its first entry
+a fragment's whole body is emitted as *one* generated Python function —
 operands pre-resolved to ``regs[i]``/``_accs[i]`` index expressions, ALU
 semantics inlined where an expression reproduces the :data:`IALU_OPS`
 formula exactly (everything else calls the very same table function),
@@ -13,14 +13,15 @@ compile-time constants, so one flush of four attribute additions replaces
 dozens of per-step increments.
 
 The generated function has the signature ``fn(ex, regs, state)`` and
-returns the same outcome protocol as a tier-1 step closure: ``("goto",
+returns the same outcome protocol as the naive body: ``("goto",
 (fragment, 0))`` for an intra-cache transfer or ``("exit", ExecResult)``
 (never ``None`` — control cannot fall off a laid-out fragment).
 
 Exactness guarantees (the engine-differential suites assert full
-``vars(VMStats)`` equality against the tier-1 engines):
+``vars(VMStats)`` equality against the naive engine):
 
-* statistics are flushed before every point tier 1 could observe them —
+* statistics are flushed before every point the naive engine could
+  observe them —
   conditional and unconditional exits, the RAS/dispatch helpers (which
   call ``stats.count_ras``/``count_dispatch``), and trap raises;
 * each potentially-excepting instruction (LOAD/STORE) sits in its own
@@ -32,8 +33,8 @@ Exactness guarantees (the engine-differential suites assert full
   time*: control only enters fragments at index 0 and bodies are
   straight-line, so the stale set at each instruction is static.  A
   simulated violation compiles to the same :class:`StalenessError` raise
-  tier 1 would perform at run time; valid fragments carry no tracking
-  code at all.
+  the naive engine performs at run time; valid fragments carry no
+  tracking code at all.
 
 Trace collection is instrumented *inside* the generated code (the
 Valgrind/balayette model): when the executor collects a trace, each
@@ -41,7 +42,8 @@ instruction's :class:`~repro.vm.events.TraceRecord` is appended at the
 point the naive engine appends it, so record order around traps is
 exact — a faulting load records nothing, a store's record precedes the
 access (a trapping or RETRANSLATE-raising store keeps it), and a
-staleness raise records what tier 1 recorded before its failing read.
+staleness raise records what the naive engine recorded before its
+failing read.
 
 * records whose fields are all static (ALU, plus the copies, V-PC/RAS
   bookkeeping ops, unconditional exits and PUTC/SYSCALL of the naive
@@ -56,11 +58,11 @@ Records and ``partial``s enter through the exec namespace, never the
 source text, so traced sources still share :data:`_CODE_CACHE` entries
 across executors; an untraced executor emits no trace code at all.
 
-Deoptimisation back to tier 1 is handled by the caller
-(``FragmentExecutor._run_jit``): traps surface as precise ``ExecResult``
-records, and chaining patches, corruption recovery and cache flushes
-drop compiled functions through ``Fragment.invalidate_compiled`` exactly
-like the tier-1 closures.
+Deoptimisation is handled by the caller (``FragmentExecutor.run``):
+traps surface as precise ``ExecResult`` records, a body that fails to
+compile runs on the naive body instead, and chaining patches, corruption
+recovery and cache flushes drop compiled functions through
+``Fragment.invalidate_compiled``; the next entry recompiles.
 """
 
 from functools import partial
@@ -74,7 +76,6 @@ from repro.vm.events import TraceRecord
 from repro.vm.executor import _ALPHA_WEIGHTS, ExecResult, ExitReason, \
     STATIC_RECORDS, StalenessError, alu_record, cond_record, load_record, \
     store_record
-from repro.vm.specialize import _resolve_goto
 
 _ZERO_REG = 31
 
@@ -259,7 +260,7 @@ class _Emitter:
         return None if dest == _ZERO_REG else dest
 
     def commit(self, instr, expr, masked, simple=False):
-        """Emit the acc-then-GPR result commit (mirrors ``_commit_fn``)."""
+        """Emit the acc-then-GPR result commit (mirrors ``_commit_result``)."""
         acc = instr.acc
         dest = self._dest_gpr(instr)
         if acc is None and dest is None:
@@ -289,7 +290,7 @@ class _Emitter:
         """The cold catch-up path for a potentially-excepting instruction."""
         self.emit("except _Trap:")
         self.flush(depth=2, reset=False)
-        self.emit(f"ex._jit_pei = {index}", 2)
+        self.emit(f"ex._trap_index = {index}", 2)
         self.emit("raise", 2)
 
     def cond_value(self, instr):
@@ -304,7 +305,7 @@ class _Emitter:
         iop = instr.iop
         name = f"_tr{index}"
         if iop in STATIC_RECORDS:
-            # as in tier 1, the record precedes the instruction's first
+            # as in the naive engine, the record precedes the first
             # (staleness-checked) read
             self.record(name, STATIC_RECORDS[iop], instr)
         if iop is IOp.ALU:
@@ -324,7 +325,7 @@ class _Emitter:
             self.emit(f"_accs[{instr.acc}] = regs[{instr.gpr}]")
         elif iop is IOp.BRANCH:
             goto = self.bind(f"_g{index}",
-                             _resolve_goto(self.ex.tcache, instr.target))
+                             self.ex._transfer(instr.target))
             self.check_gpr_source(instr)
             self.flush()
             self.cond_value(instr)
@@ -335,7 +336,7 @@ class _Emitter:
             self.record(name, cond_record, instr, False, None)
         elif iop is IOp.BR:
             goto = self.bind(f"_g{index}",
-                             _resolve_goto(self.ex.tcache, instr.target))
+                             self.ex._transfer(instr.target))
             self.flush()
             self.emit(f"return {goto}")
             self.done = True
@@ -417,7 +418,7 @@ class _Emitter:
             self.emit("_con.append(regs[16] & 0xFF)")
         elif iop is IOp.SYSCALL:
             # PAL syscalls read/write architected GPRs directly through
-            # the shared PalContext (every tier does); a protect call
+            # the shared PalContext (both engines do); a protect call
             # that invalidates fragments raises the internal RETRANSLATE
             # trap, so the call sits under a PEI handler like any load.
             pal = self.bind("_pal", self.ex.pal.call)
@@ -426,7 +427,7 @@ class _Emitter:
             self.pei_handler(index)
         elif iop is IOp.GENTRAP:
             self.flush()
-            self.emit(f"ex._jit_pei = {index}")
+            self.emit(f"ex._trap_index = {index}")
             self.emit(f"raise _Trap(_TK_GENTRAP, {instr.vpc!r})")
             self.done = True
         else:
@@ -554,15 +555,16 @@ class _Emitter:
             try:
                 self.emit_instr(index, instr)
             except _Stale as stale:
-                # tier 1 counts the instruction, then the operand getter
-                # raises; straight-line bodies make this a static fact
+                # the naive engine counts the instruction, then its
+                # operand read raises; straight-line bodies make this a
+                # static fact
                 self.flush()
                 self.emit("raise _StalenessError("
                           f"{_STALE_MESSAGE.format(index=stale.index)!r})")
                 self.done = True
         if not self.done:
-            # control fell off the body: tier 1 indexes past the closure
-            # list; raise the identical error with the stats caught up
+            # control fell off the body: the naive engine indexes past
+            # the body; raise the identical error with the stats caught up
             self.flush()
             self.emit('raise IndexError("list index out of range")')
 
@@ -586,7 +588,7 @@ class _Emitter:
 #: pure function of the body semantics — executor-specific values enter
 #: through the exec namespace, never the code — so repeated runs of the
 #: same program (benchmark repetitions, differential reruns, harness
-#: workers) skip the ``compile()`` call, which dominates tier-2 compile
+#: workers) skip the ``compile()`` call, which dominates jit compile
 #: cost.  Keying by content also makes staleness impossible: a patched
 #: body emits different source, hence a different key.
 _CODE_CACHE = {}

@@ -56,11 +56,9 @@ class TestCorpusContents:
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
 def test_corpus_entry_replays_clean(entry):
     """Every corpus program must agree across the naive interpreter and
-    both VM engines (the jit axis runs at the oracle's low promotion
-    threshold, so tier-2 generated code executes during replay)."""
+    both VM engines."""
     fprog = program_from_entry(entry, shrunk=True)
-    report = check_program(fprog, stages=("cosim", "engine"),
-                           engines=("naive", "jit"))
+    report = check_program(fprog, stages=("cosim", "engine"))
     assert report["failures"] == [], \
         f"corpus regression: {report['failures']}"
     assert report["inconclusive"] == []

@@ -2,11 +2,11 @@
 
 A fuzzer is only as good as its oracles: beyond checking that clean
 programs pass every stage, this suite *injects a semantic bug* (a
-test-local mutation of one I-ISA ALU operation — the table only
-translated code executes) and requires the oracle to catch it within a
-bounded number of seeded programs, then shrink the finding to a minimal
-reproducer that still diverges — the guard against a vacuously-passing
-fuzzer.
+test-local mutation of one I-ISA ALU operation — the table the naive
+engine executes translated code through) and requires the oracle to
+catch it within a bounded number of seeded programs, then shrink the
+finding to a minimal reproducer that still diverges — the guard against
+a vacuously-passing fuzzer.
 """
 
 import pytest
@@ -88,10 +88,10 @@ class TestCompareOutcomes:
 
 @pytest.fixture
 def mutated_xor(monkeypatch):
-    """Corrupt the I-ISA ``xor`` semantic — the table only *translated*
-    code executes, so the pure interpreter stays correct and cosim must
-    notice.  Per-VM fragment closures bind the table entry at build
-    time, so no cache invalidation is needed."""
+    """Corrupt the I-ISA ``xor`` semantic.  Only the naive engine runs
+    translated ``xor`` through this table (the jit inlines it as a
+    source template, and the pure interpreter never touches it), so the
+    engine stage must notice the naive/jit split."""
     monkeypatch.setitem(ildp_semantics.IALU_OPS, "xor",
                         lambda a, b: (a ^ b) ^ 0x10000)
 
@@ -101,7 +101,7 @@ class TestOracleSensitivity:
         finding = None
         for index in range(DETECTION_BOUND):
             fprog = generate(7, index, max_insns=24)
-            report = check_program(fprog, stages=("cosim",))
+            report = check_program(fprog, stages=("engine",))
             if report["failures"]:
                 finding = Finding(fprog, report["failures"])
                 break
@@ -125,7 +125,7 @@ class TestOracleSensitivity:
         with monkeypatch.context() as patched:
             patched.setitem(ildp_semantics.IALU_OPS, "xor",
                             lambda a, b: (a ^ b) ^ 0x10000)
-            report = check_program(fprog, stages=("cosim",))
+            report = check_program(fprog, stages=("engine",))
             assert report["failures"]
             finding = Finding(fprog, report["failures"])
             _shrink_finding(finding, ORACLE_BUDGET)
@@ -136,15 +136,14 @@ class TestOracleSensitivity:
         """The same seeds the sensitivity test uses are clean when the
         semantics are intact — the divergence is the mutation's."""
         for index in range(2):
-            report = check_program(generate(7, index, max_insns=24),
-                                   stages=("cosim",))
+            report = check_program(generate(7, index, max_insns=24))
             assert report["failures"] == []
 
 
 class TestPalNoOpChaining:
     """Regression: a superblock ending on an *unknown* CALL_PAL (an
     architectural no-op) used to produce a fragment with no terminal
-    exit — the specialized executor ran off the end of the closure list
+    exit — the executor ran off the end of the fragment body
     (IndexError).  Found by the fuzzer's very first generated program."""
 
     def _program(self):
@@ -190,10 +189,9 @@ class TestCampaign:
                               shrink=True)
         assert not result.ok
         finding = result.findings[0]
-        # tier-1 closures bind the corrupted table entry, so cosim
-        # diverges from the pure interpreter; the jit inlines ``xor``
-        # as a source template, so the engine stage flags the same
-        # mutation as a jit-vs-specialized split
-        assert "cosim" in finding.stages
+        # the naive engine reads the corrupted table entry, the jit
+        # inlines ``xor`` as a source template: the engine stage flags
+        # the mutation as a naive-vs-jit split
+        assert "engine" in finding.stages
         assert finding.shrunk_words is not None
         assert any("shrunk" in line for line in result.render_lines())

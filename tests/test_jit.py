@@ -1,13 +1,14 @@
-"""Tier-2 JIT engine: promotion, parity, guarded deopt, invalidation.
+"""JIT engine: compilation, parity, guarded deopt, invalidation.
 
 The heavyweight engine-differential guarantees live in
-``test_cosim_differential.py`` (all workloads, all three engines) and in
-the fuzz corpus replay; these are the unit-level checks for the tier-2
-machinery itself: promotion policy, generated-source introspection,
-trap deoptimisation with precise state, compile-failure degradation,
-the invalidation paths (chaining patches, corruption recovery) that
-must discard generated code, and the traced differentials: tier-2 code
-appends trace records inline, field-identical to the naive engine's.
+``test_cosim_differential.py`` (all workloads, both engines) and in the
+fuzz corpus replay; these are the unit-level checks for the jit
+machinery itself: compile-on-first-entry, generated-source
+introspection, trap deoptimisation with precise state, compile-failure
+degradation, the invalidation paths (chaining patches, corruption
+recovery) that must discard generated code, and the traced
+differentials: generated code appends trace records inline,
+field-identical to the naive engine's.
 """
 
 import os
@@ -31,7 +32,7 @@ from tests.test_traps import FAULTING_LOAD, GENTRAP_KERNEL
 
 #: Like ``FAULTING_LOAD``: a hot loop whose store pointer is poisoned
 #: mid-run (cmov, so no side exit), making the store trap inside
-#: tier-2 code.
+#: generated code.
 _POISONED_STORE = """
 _start: li r1, 90
         la r2, buf
@@ -91,8 +92,8 @@ CORPUS_IDS = [f"{'hostile-' if entry.get('hostile') else ''}"
               for entry in CORPUS_ENTRIES]
 
 
-def _config(engine="jit", fmt=IFormat.MODIFIED, threshold=2, **overrides):
-    return VMConfig(fmt=fmt, exec_engine=engine, jit_threshold=threshold,
+def _config(engine="jit", fmt=IFormat.MODIFIED, **overrides):
+    return VMConfig(fmt=fmt, exec_engine=engine,
                     collect_trace=overrides.pop("collect_trace", False),
                     **overrides)
 
@@ -116,27 +117,28 @@ def _promoted(vm):
 
 class TestPromotion:
     def test_hot_fragments_promote(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         assert vm.halted
         promoted = _promoted(vm)
-        assert promoted, "no fragment reached tier 2"
+        assert promoted, "no fragment was compiled"
         for fragment in promoted:
             assert fragment._jit_key is not None
             assert fragment._jit_code._jit_lines > 0
 
-    def test_cold_fragments_stay_tier1(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=10**9))
-        assert vm.halted
-        assert not _promoted(vm)
+    def test_fragments_compile_on_first_entry(self):
+        vm = _run(FIG2_KERNEL, _config())
+        executed = [f for f in vm.tcache.fragments if f.execution_count]
+        assert executed
+        assert all(f._jit_code is not None for f in executed)
 
-    @pytest.mark.parametrize("engine", ("naive", "specialized"))
+    @pytest.mark.parametrize("engine", ("naive",))
     def test_other_engines_never_promote(self, engine):
-        vm = _run(FIG2_KERNEL, _config(engine=engine, threshold=1))
+        vm = _run(FIG2_KERNEL, _config(engine=engine))
         assert vm.halted
         assert not _promoted(vm)
 
     def test_generated_source_is_introspectable(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         source = _promoted(vm)[0]._jit_code._jit_source
         assert source.startswith("def _jit_f")
         # batched statistics: one compile-time-constant flush, not
@@ -145,13 +147,13 @@ class TestPromotion:
         # every fragment ends in an explicit outcome
         assert "return" in source
 
-    def test_compile_failure_degrades_to_tier1(self, monkeypatch):
+    def test_compile_failure_degrades_to_naive(self, monkeypatch):
         def broken(_ex, fragment):
             raise RuntimeError(f"no codegen for f{fragment.fid}")
 
         monkeypatch.setattr(executor_mod, "_compile_fragment_jit", broken)
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
-        reference = _run(FIG2_KERNEL, _config(engine="specialized"))
+        vm = _run(FIG2_KERNEL, _config())
+        reference = _run(FIG2_KERNEL, _config(engine="naive"))
         assert vm.halted
         assert not _promoted(vm)
         assert any(f._jit_failed for f in vm.tcache.fragments), \
@@ -165,10 +167,10 @@ class TestParity:
     @pytest.mark.parametrize("source", (FIG2_KERNEL, CALL_KERNEL),
                              ids=("fig2", "call"))
     def test_kernels_match_naive(self, source, fmt):
-        jit = _run(source, _config(fmt=fmt, threshold=1))
+        jit = _run(source, _config(fmt=fmt))
         naive = _run(source, _config(engine="naive", fmt=fmt))
         assert jit.halted and naive.halted
-        assert _promoted(jit), "tier-2 code never ran"
+        assert _promoted(jit), "generated code never ran"
         assert jit.state.pc == naive.state.pc
         assert jit.state.regs == naive.state.regs, \
             jit.state.diff(naive.state)
@@ -176,7 +178,7 @@ class TestParity:
         assert vars(jit.stats) == vars(naive.stats)
 
     def test_budget_behaviour_is_identical(self):
-        jit = _run(FIG2_KERNEL, _config(threshold=1), budget=800)
+        jit = _run(FIG2_KERNEL, _config(), budget=800)
         naive = _run(FIG2_KERNEL, _config(engine="naive"), budget=800)
         assert not jit.halted and not naive.halted
         assert jit.state.pc == naive.state.pc
@@ -184,20 +186,20 @@ class TestParity:
         assert vars(jit.stats) == vars(naive.stats)
 
     def test_traced_visits_promote(self):
-        """Trace-collecting runs use tier-2 code too: the generated
-        functions append the committed trace inline, record for record
-        identical to the naive engine's."""
-        jit = _run(CALL_KERNEL, _config(threshold=1, collect_trace=True))
+        """Trace-collecting runs use generated code too: it appends the
+        committed trace inline, record for record identical to the naive
+        engine's."""
+        jit = _run(CALL_KERNEL, _config(collect_trace=True))
         naive = _run(CALL_KERNEL, _config(engine="naive",
                                           collect_trace=True))
-        assert _promoted(jit), "traced run never reached tier 2"
+        assert _promoted(jit), "traced run never compiled"
         assert len(jit.trace) == len(naive.trace)
         for ours, reference in zip(jit.trace, naive.trace):
             assert {s: getattr(ours, s) for s in ours.__slots__} == \
                 {s: getattr(reference, s) for s in reference.__slots__}
 
     def test_untraced_source_has_no_trace_code(self):
-        vm = _run(CALL_KERNEL, _config(threshold=1))
+        vm = _run(CALL_KERNEL, _config())
         for fragment in _promoted(vm):
             source = fragment._jit_code._jit_source
             assert "_tr" not in source and "trace" not in source, source
@@ -205,9 +207,8 @@ class TestParity:
     def test_traced_source_shares_the_code_cache(self):
         """Record templates enter through the exec namespace, so two
         traced runs of one program compile identical source."""
-        first = _run(CALL_KERNEL, _config(threshold=1, collect_trace=True))
-        second = _run(CALL_KERNEL, _config(threshold=1,
-                                           collect_trace=True))
+        first = _run(CALL_KERNEL, _config(collect_trace=True))
+        second = _run(CALL_KERNEL, _config(collect_trace=True))
         sources = [{f.fid: f._jit_code._jit_source for f in _promoted(vm)}
                    for vm in (first, second)]
         assert sources[0] == sources[1]
@@ -226,17 +227,17 @@ def _assert_same_trace(ours, reference):
 
 class TestTracedParity:
     """Traced naive-vs-jit differentials: every committed record, its
-    order, and the statistics must match at ``jit_threshold=1``."""
+    order, and the statistics must match."""
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
     def test_workloads_match_naive(self, workload, fmt):
         runs = {engine: run_vm(workload,
-                               _config(engine=engine, fmt=fmt, threshold=1),
+                               _config(engine=engine, fmt=fmt),
                                budget=10_000, collect_trace=True)
                 for engine in ("naive", "jit")}
         jit, naive = runs["jit"], runs["naive"]
-        assert _promoted(jit.vm), "tier-2 code never ran"
+        assert _promoted(jit.vm), "generated code never ran"
         _assert_same_trace(jit.trace, naive.trace)
         assert vars(jit.stats) == vars(naive.stats)
         assert jit.vm.state.regs == naive.vm.state.regs
@@ -249,14 +250,15 @@ class TestTracedParity:
         """A faulting load records nothing; a faulting store keeps its
         record (it precedes the access); GENTRAP records nothing."""
         jit_trap, jit_vm = _run_trap(
-            source, _config(fmt=fmt, threshold=1, collect_trace=True,
+            source, _config(fmt=fmt, collect_trace=True,
                             telemetry=True))
         ref_trap, ref_vm = _run_trap(
             source, _config(engine="naive", fmt=fmt, collect_trace=True))
-        assert _promoted(jit_vm), "trap never reached tier-2 code"
+        assert _promoted(jit_vm), "trap never reached generated code"
         if source is not GENTRAP_KERNEL:
             counters = jit_vm.telemetry.summary()["counters"]
-            assert counters["jit.deopts"] == 1, "trap was not in tier 2"
+            assert counters["jit.deopts"] == 1, \
+                "trap was not in generated code"
         assert jit_trap.trap.kind is ref_trap.trap.kind
         assert jit_trap.trap.vpc == ref_trap.trap.vpc
         _assert_same_trace(jit_vm.trace, ref_vm.trace)
@@ -274,7 +276,7 @@ class TestTracedParity:
         COPY_FROM_GPR or PUTC commits before its failing read."""
         traces = {}
         for engine in ("naive", "jit"):
-            config = _config(engine=engine, threshold=1,
+            config = _config(engine=engine,
                              strict_modified=True, collect_trace=True)
             vm = _run(source, config, budget=2_000)
             fragment = vm.tcache.fragments[0]
@@ -288,7 +290,7 @@ class TestTracedParity:
             with pytest.raises(StalenessError):
                 rerun.run(max_v_instructions=50_000)
             if engine == "jit":
-                assert _promoted(rerun), "stale body never reached tier 2"
+                assert _promoted(rerun), "stale body never compiled"
             traces[engine] = rerun.trace
         assert traces["naive"], "no record before the stale read"
         if reader is not None:
@@ -301,7 +303,7 @@ class TestTracedParity:
     @pytest.mark.parametrize("entry", CORPUS_ENTRIES, ids=CORPUS_IDS)
     def test_corpus_matches_naive(self, entry):
         """Fuzz and hostile corpora (SMC, protection flips, syscalls),
-        traced, at the oracle's low promotion threshold."""
+        traced."""
         fprog = program_from_entry(entry, shrunk=True)
         runs = {}
         for engine in ("naive", "jit"):
@@ -316,13 +318,12 @@ class TestTracedParity:
 
     def test_self_store_deopts_traced_tier2_code(self):
         """A store into the executing fragment raises RETRANSLATE from
-        tier-2 code mid-fragment; its record must already be in the
+        generated code mid-fragment; its record must already be in the
         trace, as in the naive engine."""
         runs = {}
         for engine in ("naive", "jit"):
-            config = VMConfig(threshold=4, jit_threshold=1,
-                              exec_engine=engine, collect_trace=True,
-                              telemetry=True)
+            config = VMConfig(threshold=4, exec_engine=engine,
+                              collect_trace=True, telemetry=True)
             runs[engine] = _run(SMC_HOTSTORE, config, budget=100_000)
         jit, naive = runs["jit"], runs["naive"]
         assert jit.halted and naive.halted
@@ -332,14 +333,53 @@ class TestTracedParity:
         assert vars(jit.stats) == vars(naive.stats)
 
 
+class TestDispatchTrace:
+    """A traced dispatch commits the shared dispatch routine: the lookup
+    records are built once per executor and appended on every dispatch;
+    only the final indirect jump's record carries the dispatch target."""
+
+    @pytest.mark.parametrize("engine", ("naive", "jit"))
+    def test_dispatch_records(self, engine):
+        result = run_vm("parser", _config(engine=engine), budget=10_000,
+                        collect_trace=True)
+        body = result.vm.tcache.dispatch_body
+        trace = result.trace
+        starts = [index for index, record in enumerate(trace)
+                  if record.is_dispatch and record.address == body[0].address]
+        assert len(starts) > 1, "the run never dispatched twice"
+        first = trace[starts[0]:starts[0] + len(body)]
+        for start in starts:
+            group = trace[start:start + len(body)]
+            for instr, record, shared in zip(body, group, first):
+                assert record.is_dispatch
+                assert record.address == instr.address
+                assert record.size == instr.size
+                assert record.acc == instr.acc and record.acc_read
+                if instr.iop is IOp.JMP_DISPATCH:
+                    assert (record.op_class, record.btype, record.taken,
+                            record.acc_write) == \
+                        ("branch", "indirect", True, False)
+                else:
+                    assert record.op_class == \
+                        ("load" if instr.iop is IOp.LOAD else "int")
+                    assert record.acc_write and record.btype is None
+                    assert record is shared
+            jump = group[-1]
+            after = trace[start + len(body)] \
+                if start + len(body) < len(trace) else None
+            if jump.target is not None and after is not None:
+                # a hit jumps to the fragment whose record comes next
+                assert after.address == jump.target
+
+
 class TestTrapDeopt:
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_faulting_load_matches_naive(self, fmt):
         jit_trap, jit_vm = _run_trap(FAULTING_LOAD,
-                                     _config(fmt=fmt, threshold=1))
+                                     _config(fmt=fmt))
         ref_trap, ref_vm = _run_trap(FAULTING_LOAD,
                                      _config(engine="naive", fmt=fmt))
-        assert _promoted(jit_vm), "trap never reached tier-2 code"
+        assert _promoted(jit_vm), "trap never reached generated code"
         assert jit_trap.trap.kind is TrapKind.ACCESS_VIOLATION
         assert jit_trap.trap.kind is ref_trap.trap.kind
         assert jit_trap.trap.vpc == ref_trap.trap.vpc
@@ -351,7 +391,7 @@ class TestTrapDeopt:
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_gentrap_matches_naive(self, fmt):
         jit_trap, jit_vm = _run_trap(GENTRAP_KERNEL,
-                                     _config(fmt=fmt, threshold=1))
+                                     _config(fmt=fmt))
         ref_trap, ref_vm = _run_trap(GENTRAP_KERNEL,
                                      _config(engine="naive", fmt=fmt))
         assert jit_trap.trap.kind is TrapKind.GENTRAP
@@ -362,17 +402,17 @@ class TestTrapDeopt:
 
     def test_deopts_are_counted(self):
         _trap, vm = _run_trap(FAULTING_LOAD,
-                              _config(threshold=1, telemetry=True))
+                              _config(telemetry=True))
         counters = vm.telemetry.summary()["counters"]
         assert counters["jit.promotions"] >= 1
         assert counters["jit.deopts"] >= 1
 
 
-#: Two alternating hot loops under one outer loop.  The ``warm`` loop
-#: promotes to tier 2 while its fall-through exit still points at the
-#: untranslated ``cold`` region; when ``cold`` finally translates, the
-#: chaining patch rewrites the *promoted* fragment — and the outer loop
-#: then drives it hot again.
+#: Two alternating hot loops under one outer loop.  The ``warm`` loop is
+#: compiled while its fall-through exit still points at the untranslated
+#: ``cold`` region; when ``cold`` finally translates, the chaining patch
+#: rewrites the *compiled* fragment — and the outer loop then enters it
+#: again.
 LATE_CHAIN_KERNEL = """
         .text
 _start: clr  r14
@@ -395,14 +435,14 @@ cold:   addq r13, 2, r13
 
 
 class TestInvalidation:
-    """Chaining patches and corruption recovery must discard tier-2 code
-    exactly like the tier-1 closures (the satellite regression)."""
+    """Chaining patches and corruption recovery must discard generated
+    code."""
 
     def test_chaining_patch_discards_then_recompiles(self):
         """A fragment promoted before its exit is patched must be
         recompiled against the patched body: the event stream shows
         promote -> chain -> promote again for the same fragment."""
-        config = VMConfig(threshold=2, exec_engine="jit", jit_threshold=1,
+        config = VMConfig(threshold=2, exec_engine="jit",
                           telemetry=True)
         vm = _run(LATE_CHAIN_KERNEL, config)
         assert vm.halted
@@ -423,34 +463,33 @@ class TestInvalidation:
         assert patched_after_promotion, \
             "no promoted fragment was ever patched"
         assert repromoted, \
-            "patched fragments were never recompiled to tier 2"
+            "patched fragments were never recompiled"
         # and the generated code still computes the right answer
         reference = _run(LATE_CHAIN_KERNEL, _config(engine="naive"))
         assert vm.state.regs == reference.state.regs
         assert vm.console_text() == reference.console_text()
 
     def test_patch_drops_generated_code_immediately(self):
-        vm = _run(CALL_KERNEL, _config(threshold=1))
+        vm = _run(CALL_KERNEL, _config())
         fragment = _promoted(vm)[0]
         old_code = fragment._jit_code
         vm.tcache._invalidate(fragment)
         assert fragment._jit_code is None
         assert fragment._jit_failed is False
-        assert fragment._compiled == [None, None]
-        # the next hot visit recompiles against the (patched) body
+        # the next entry recompiles against the (patched) body
         new_code = vm.executor._jit_for(fragment)
         assert new_code is not None
         assert new_code is not old_code
         assert fragment._jit_code is new_code
 
     def test_corrupt_path_drops_generated_code(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         fragment = _promoted(vm)[0]
         vm.tcache._corrupt(fragment)
         assert fragment._jit_code is None
 
     def test_compile_failure_pin_cleared_by_invalidate(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         fragment = _promoted(vm)[0]
         fragment._jit_failed = True
         fragment.invalidate_compiled()
@@ -460,7 +499,7 @@ class TestInvalidation:
 
 class TestTelemetry:
     def test_jit_metrics_recorded(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2, telemetry=True))
+        vm = _run(FIG2_KERNEL, _config(telemetry=True))
         summary = vm.telemetry.summary()
         promotions = summary["counters"]["jit.promotions"]
         assert promotions >= 1
@@ -472,6 +511,6 @@ class TestTelemetry:
         assert host["timers"]["jit.compile"]["count"] == promotions
 
     def test_telemetry_is_noop_on_stats(self):
-        plain = _run(FIG2_KERNEL, _config(threshold=2))
-        observed = _run(FIG2_KERNEL, _config(threshold=2, telemetry=True))
+        plain = _run(FIG2_KERNEL, _config())
+        observed = _run(FIG2_KERNEL, _config(telemetry=True))
         assert vars(plain.stats) == vars(observed.stats)

@@ -174,7 +174,7 @@ class TestTraceConsumersAreReadOnly:
     @pytest.mark.parametrize("path", ("vm", "original"))
     def test_models_leave_records_unchanged(self, path):
         if path == "vm":
-            trace = run_vm("gcc", VMConfig(jit_threshold=1), budget=8_000,
+            trace = run_vm("gcc", VMConfig(), budget=8_000,
                            collect_trace=True).trace
             assert len({id(record) for record in trace}) < len(trace), \
                 "the traced jit run shared no record"
